@@ -13,7 +13,7 @@ from .errors import InputError, ResourceLimitError, SingularMatrixError
 from .fields import FiniteField
 from .lattice import BrickSpec, LatticeSpec, assemble_block, evolve
 from .matrices import RingMatrix
-from .census import BoundaryConditions, count_configs, census_report
+from .census import BoundaryConditions, census_report
 from .pointmap import brute_force_census
 from . import decomp3d
 from . import dim4

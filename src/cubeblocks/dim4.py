@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import InputError, SingularMatrixError
 from .fields import FiniteField
 from .identity import Verdict
-from .lattice import LatticeSpec, BrickSpec, assemble_block, evolve
+from .lattice import LatticeSpec, BrickSpec, assemble_block
 from .matrices import RingMatrix, mat_det, mat_inverse
 from .census import BoundaryConditions, count_configs
 from . import decomp3d

@@ -60,12 +60,6 @@ def matmul(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return fold_reduce(field, conv)
 
 
-def scale_rows(field: FiniteField, scalars: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """scalars (..., m) entrywise-multiplied against rows (..., m)."""
-    conv = np.einsum("...a,...b->...ab", scalars, rows)
-    return fold_reduce(field, conv)
-
-
 def add(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a + b) % field.p
 

@@ -1,13 +1,11 @@
-"""Bit-packed GF(2) kernels.
+"""Bit-packed GF(2) rows for the q=2 enumeration.
 
-Rows are Python ints with bit j = entry in column j, so row addition is a
-single XOR regardless of width.  Results are required (and tested) to be
-bit-identical to the generic RingMatrix path.
+A row is a Python int with bit j = entry in column j, so row addition is
+a single XOR regardless of width.
 """
 
 from __future__ import annotations
 
-from .fields import FiniteField
 from .matrices import RingMatrix
 
 
@@ -20,94 +18,3 @@ def pack_rows(m: RingMatrix) -> list[int]:
                 acc |= 1 << j
         rows.append(acc)
     return rows
-
-
-def unpack_rows(rows: list[int], ncols: int, field: FiniteField) -> RingMatrix:
-    data = []
-    for r in rows:
-        data.extend((r >> j) & 1 for j in range(ncols))
-    return RingMatrix(field, len(rows), ncols, data)
-
-
-def gf2_matmul(a: list[int], b: list[int]) -> list[int]:
-    """Product of packed matrices; a has len(b) columns."""
-    out = []
-    for ra in a:
-        acc = 0
-        t = 0
-        while ra:
-            if ra & 1:
-                acc ^= b[t]
-            ra >>= 1
-            t += 1
-        out.append(acc)
-    return out
-
-
-def gf2_row_mul(x: int, b: list[int]) -> int:
-    """Packed row vector times packed matrix."""
-    acc = 0
-    t = 0
-    while x:
-        if x & 1:
-            acc ^= b[t]
-        x >>= 1
-        t += 1
-    return acc
-
-
-def gf2_rref(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form; same pivoting order as matrices.rref."""
-    a = list(rows)
-    nrows = len(a)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        bit = 1 << c
-        piv = None
-        for i in range(r, nrows):
-            if a[i] & bit:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(nrows):
-            if i != r and a[i] & bit:
-                a[i] ^= a[r]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a, pivots
-
-
-def gf2_rank(rows: list[int], ncols: int) -> int:
-    return len(gf2_rref(rows, ncols)[1])
-
-
-def gf2_row_kernel(rows: list[int], ncols: int) -> list[int]:
-    """Packed basis of {x : x M = 0} for the packed matrix M, in RREF."""
-    nrows = len(rows)
-    # eliminate [M | I]: rows that zero out on the left give kernel combos
-    aug = [rows[i] | (1 << (ncols + i)) for i in range(nrows)]
-    a = list(aug)
-    r = 0
-    for c in range(ncols):
-        bit = 1 << c
-        piv = None
-        for i in range(r, nrows):
-            if a[i] & bit:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(nrows):
-            if i != r and a[i] & bit:
-                a[i] ^= a[r]
-        r += 1
-    mask = (1 << ncols) - 1
-    kernel = [row >> ncols for row in a[r:] if (row & mask) == 0]
-    kernel, _ = gf2_rref(kernel, nrows)
-    return [k for k in kernel if k]

@@ -153,7 +153,9 @@ class BrickSpec:
     def from_json(cls, obj) -> "BrickSpec":
         field = FiniteField.from_json(obj["field"])
         entries = obj["entries"]
-        m = RingMatrix.from_rows(field, [[int(x) for x in row] for row in entries])
+        if any(type(x) is not int or not 0 <= x < field.q for row in entries for x in row):
+            raise InputError(f"brick entries must be integers in [0, {field.q})")
+        m = RingMatrix.from_rows(field, [list(row) for row in entries])
         return cls(int(obj["d"]), tuple(obj["thin_dims"]), m)
 
     @classmethod

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 from .errors import InputError
 from .fields import FiniteField
 from .matrices import RingMatrix
@@ -15,13 +13,3 @@ def matrix_to_json(m: RingMatrix) -> dict:
     return {"rows": m.rows, "cols": m.cols,
             "ring": m.ring.to_json(), "entries": m.to_rows()}
 
-
-def matrix_from_json(obj) -> RingMatrix:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    field = FiniteField.from_json(obj["ring"])
-    entries = obj["entries"]
-    if len(entries) != obj["rows"] or any(len(r) != obj["cols"] for r in entries):
-        raise InputError("entry grid does not match the declared shape")
-    return RingMatrix.from_rows(field, [[int(x) % field.q for x in row]
-                                        for row in entries])

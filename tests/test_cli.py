@@ -79,6 +79,18 @@ def test_malformed_brick_is_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entries", [[[999, -3], [1, 1]], [[1.5, 0], [1, 1]],
+                                     [[True, 0], [1, 1]]])
+def test_brick_entry_outside_field_is_exit_2(entries, capsys):
+    brick = {"d": 2, "thin_dims": [1, 1], "entries": entries,
+             "field": {"p": 2, "m": 1, "modulus": [0, 1]}}
+    assert main(["census", "--oracle", "--brick", json.dumps(brick),
+                 "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "Traceback" not in captured.err
+
+
 def test_missing_file_is_exit_2(capsys):
     assert main(["assemble", "--brick", "/no/such/file.json",
                  "--no-timestamp"]) == 2

@@ -3,8 +3,11 @@ import random
 import pytest
 
 from cubeblocks import decomp3d as D
+from cubeblocks import fieldmat
 from cubeblocks.errors import InputError
+from cubeblocks.fieldmat import scalar_of
 from cubeblocks.fields import FiniteField
+from cubeblocks.lattice import assemble_block
 from cubeblocks.matrices import RingMatrix, mat_det
 
 
@@ -109,6 +112,39 @@ def test_spectrum_sampled_p3():
     v = D.verify_triple_product_spectrum(3, trials=4, seed=5)
     assert v.ok and v.details["multiplicities"] == [3, 6]
     assert v.log2_failure_bound < 0
+
+
+def test_b3_claims_share_one_assembly_per_trial(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return assemble_block(*args, **kwargs)
+
+    monkeypatch.setattr(D, "assemble_block", counting)
+    D._b3_pass.cache_clear()
+    assert D.verify_scalar_structure(3, trials=3, seed=1).ok
+    assert D.verify_triple_product_spectrum(3, trials=3, seed=1).ok
+    assert len(calls) == 3
+
+
+def test_b3_scalar_failure_leaves_spectrum_checked(monkeypatch):
+    calls = []
+
+    def failing_fourth(field, arr):
+        calls.append(None)
+        return None if len(calls) == 4 else scalar_of(field, arr)
+
+    monkeypatch.setattr(fieldmat, "scalar_of", failing_fourth)
+    D._b3_pass.cache_clear()
+    scalar = D.verify_scalar_structure(3, trials=3, seed=1)
+    spectrum = D.verify_triple_product_spectrum(3, trials=3, seed=1)
+    D._b3_pass.cache_clear()
+    assert not scalar.ok
+    assert scalar.witness == {"trial": 1, "pair": [0, 1], "failed": "scalar"}
+    assert len(calls) == 4
+    assert spectrum.ok and spectrum.details["trials"] == 3
+    assert spectrum.details["multiplicities"] == [3, 6]
 
 
 # ----------------------------------------------------------------------
