@@ -117,7 +117,7 @@ def _load_brick(text: str) -> BrickSpec:
     obj = _load_json_arg(text)
     try:
         return BrickSpec.from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed brick description: {exc}") from exc
 
 
@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_asm.add_argument("--brick", required=True,
                        help="brick description: JSON text or a file path")
     p_asm.add_argument("--edge", type=int, default=2)
-    p_asm.add_argument("--ordering", default="lex")
+    p_asm.add_argument("--ordering", choices=("lex", "colex"), default="lex")
     p_asm.set_defaults(func=cmd_assemble)
 
     p_cen = sub.add_parser("census", parents=[common],

@@ -34,7 +34,8 @@ SYM_VARS = ("a11", "a12", "a13", "a22", "a23", "a33")
 # that makes the printed eigenvector rows correct.  Resolved by searching
 # all per-axis permutations at a random specialization and confirmed
 # symbolically (see resolve_line_ordering and its regeneration test):
-# the lexicographic transverse-coordinate order needs no permutation.
+# the lexicographic transverse-coordinate order needs no permutation, so
+# the basis rows are used as printed and reports only record this order.
 RESOLVED_LINE_ORDERING = ((0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 2, 3))
 
 
@@ -115,23 +116,9 @@ class ThickBasisSet:
         return [self.p1, self.p2, self.p3]
 
 
-def _apply_ordering(rows, axis: int, ordering=RESOLVED_LINE_ORDERING):
-    sigma = ordering[axis]
-    out = []
-    for row in rows:
-        new = [None] * 4
-        for k in range(4):
-            new[sigma[k]] = row[k]
-        out.append(new)
-    return out
-
-
-def thick_basis_matrices(ring, a, ordering=RESOLVED_LINE_ORDERING) -> ThickBasisSet:
-    t1, t2, t3 = thick_basis_rows(ring, a)
-    mats = []
-    for axis, rows in enumerate((t1, t2, t3)):
-        mats.append(RingMatrix.from_rows(ring, _apply_ordering(rows, axis, ordering)))
-    return ThickBasisSet(*mats)
+def thick_basis_matrices(ring, a) -> ThickBasisSet:
+    return ThickBasisSet(*(RingMatrix.from_rows(ring, rows)
+                           for rows in thick_basis_rows(ring, a)))
 
 
 def mixed_product_difference(ring, a):
@@ -145,10 +132,10 @@ def mixed_product_difference(ring, a):
 # Cube assembly and full-basis conjugation identities
 # ----------------------------------------------------------------------
 
-def assemble_cube(ring, a, l: int, ordering="lex"):
+def assemble_cube(ring, a, l: int):
     brick = BrickSpec(3, (1, 1, 1), grid_matrix(ring, a))
     spec = LatticeSpec(3, l=l)
-    return assemble_block(brick, spec, ordering=ordering)
+    return assemble_block(brick, spec)
 
 
 def _stack_basis(ring, per_space_rows) -> RingMatrix:
@@ -197,8 +184,7 @@ class DecompositionReport:
 
 
 def verify_decomposition_3d(mode: str = "symbolic", field: FiniteField | None = None,
-                            entries=None, seed: int = 0,
-                            ordering=RESOLVED_LINE_ORDERING) -> DecompositionReport:
+                            entries=None, seed: int = 0) -> DecompositionReport:
     """Check that the 2x2x2 block of a 3x3 char-2 brick is conjugate, by
     the explicit thick bases, to (transposed squared brick) + 3 x
     (squared brick)."""
@@ -230,7 +216,7 @@ def verify_decomposition_3d(mode: str = "symbolic", field: FiniteField | None = 
     else:
         raise InputError(f"unknown mode {mode!r}")
     blk, _ = assemble_cube(ring, a, 2)
-    basis = thick_basis_matrices(ring, a, ordering)
+    basis = thick_basis_matrices(ring, a)
     p_full = _stack_basis(ring, [m.to_rows() for m in basis.as_list()])
     sigma = _sigma_generic(ring, a)
     lhs = p_full @ blk
@@ -589,17 +575,15 @@ def symmetrize_brick(field: FiniteField, a: RingMatrix):
 
 
 def symmetric_g_vectors(ring, a):
-    """Printed distinguished vectors of the three thick spaces, in the
-    slot order of the resolved line ordering."""
+    """Printed distinguished vectors of the three thick spaces, in
+    lexicographic slot order (the resolved line ordering)."""
     mul = ring.mul
     sq = lambda x: mul(x, x)
     a12, a13, a23 = a[0][1], a[0][2], a[1][2]
     a11 = a[0][0]
     g1 = [ring.zero, ring.zero, ring.zero, mul(mul(a12, a13), sq(a23))]
     g23 = [ring.zero, mul(a13, sq(a23)), ring.zero, mul(mul(a11, a13), sq(a23))]
-    rows = [_apply_ordering([row], axis)[0]
-            for axis, row in enumerate((g1, g23, list(g23)))]
-    return rows
+    return [g1, g23, list(g23)]
 
 
 def _exact_div(ring, x, denom):
@@ -650,8 +634,6 @@ def g3_typo_report() -> dict:
 class SymPairRing:
     """Commutative algebra spanned by 1 and an involution t (t^2 = 1)
     over a base ring; elements are pairs (u, v) meaning u + v t."""
-
-    is_field = False
 
     def __init__(self, base):
         self.base = base
@@ -764,9 +746,7 @@ def verify_symmetric_decomposition(level: str = "simple", mode: str = "symbolic"
     gs = defining_g_vectors(ring, a, blk, bp)
     per_space = []
     for axis, t in enumerate((t1, t2, t3)):
-        rows = _apply_ordering([t[1], t[2]], axis) + [gs[axis]] \
-            + _apply_ordering([t[0]], axis)
-        per_space.append(rows)
+        per_space.append([t[1], t[2], gs[axis], t[0]])
     p_full = _stack_basis(ring, per_space)
     sigma = _sigma_symmetric(ring, a)
     lhs = p_full @ blk

@@ -29,8 +29,6 @@ class MatrixAlgebra:
     commutative; commutativity of the reduced entries is checked where
     the theory requires it)."""
 
-    is_field = False
-
     def __init__(self, field: FiniteField, l: int):
         self.field = field
         self.l = l

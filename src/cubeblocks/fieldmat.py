@@ -1,28 +1,29 @@
-"""Vectorized kernels for matrices over GF(p^m).
+"""The array backend for matrices over GF(p^m).
 
 A matrix is an int64 ndarray of shape (rows, cols, m) holding the
-polynomial-basis coefficients of each entry, reduced mod p.  These
-kernels back the sampled structure checks at p in {3, 5, 7, 11},
-where scalar field arithmetic would be too slow; results agree exactly
-with the generic RingMatrix path (tested).
+polynomial-basis coefficients of each entry, reduced mod p.  Every
+Gaussian elimination over a finite field in the package runs here, on
+one forward-elimination kernel: ``rank``, ``det`` and ``rref`` build on
+it, and ``matrices`` routes its field routines through them.  Products
+and the sampled structure checks use ``matmul`` and ``fold_reduce``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import matrices
 from .fields import FiniteField
-from .matrices import RingMatrix
 
 
-def to_array(field: FiniteField, m: RingMatrix) -> np.ndarray:
+def to_array(field: FiniteField, m: matrices.RingMatrix) -> np.ndarray:
     vals = np.array(m.data, dtype=np.int64).reshape(m.rows, m.cols)
     return ints_to_coeffs(field, vals)
 
 
-def from_array(field: FiniteField, arr: np.ndarray) -> RingMatrix:
+def from_array(field: FiniteField, arr: np.ndarray) -> matrices.RingMatrix:
     vals = coeffs_to_ints(field, arr)
-    return RingMatrix(field, arr.shape[0], arr.shape[1],
+    return matrices.RingMatrix(field, arr.shape[0], arr.shape[1],
                       [int(v) for v in vals.reshape(-1)])
 
 
@@ -60,10 +61,6 @@ def matmul(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return fold_reduce(field, conv)
 
 
-def add(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a + b) % field.p
-
-
 def sub(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a - b) % field.p
 
@@ -91,35 +88,69 @@ def scalar_of(field: FiniteField, arr: np.ndarray) -> int | None:
     return int(coeffs_to_ints(field, c))
 
 
-def rref(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    a = a % field.p
+def _clear(field: FiniteField, a: np.ndarray, r: int, c: int, rows: np.ndarray) -> None:
+    """Subtract from each of rows its column-c multiple of the unit-pivot
+    row r, from column c rightwards (everything left of c is zero in r)."""
+    if rows.size:
+        prod = np.einsum("ka,cb->kcab", a[rows, c], a[r, c:])
+        a[rows, c:] = (a[rows, c:] - fold_reduce(field, prod)) % field.p
+
+
+def _forward(field: FiniteField, a: np.ndarray) -> tuple[list[int], list[int], int]:
+    """Forward elimination of a reduced array, in place.
+
+    Each step swaps up the first row with a nonzero entry in the column,
+    scales it to a unit pivot and clears the column below it.  Returns
+    the pivot columns, the pivot values before scaling and the number of
+    row swaps, so the determinant is (-1)^swaps times their product."""
     nrows, ncols = a.shape[0], a.shape[1]
-    pivots = []
-    r = 0
+    pivots, values = [], []
+    swaps = r = 0
     for c in range(ncols):
-        col = a[r:, c, :]
-        nz = np.nonzero(col.any(axis=1))[0]
+        if r == nrows:
+            break
+        nz = np.flatnonzero(a[r:, c].any(axis=1))
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        pivot_val = int(coeffs_to_ints(field, a[r, c]))
-        inv = field.inv(pivot_val)
+            swaps += 1
+        val = int(coeffs_to_ints(field, a[r, c]))
+        inv = field.inv(val)
         if inv != field.one:
             inv_coeffs = np.array(field.coeffs(inv), dtype=np.int64)
-            conv = np.einsum("a,cb->cab", inv_coeffs, a[r])
-            a[r] = fold_reduce(field, conv)
-        factors = a[:, c, :].copy()
-        factors[r] = 0
-        prod = np.einsum("ka,cb->kcab", factors, a[r])
-        a = (a - fold_reduce(field, prod)) % field.p
+            a[r, c:] = fold_reduce(field, np.einsum("a,cb->cab", inv_coeffs, a[r, c:]))
+        _clear(field, a, r, c, r + 1 + np.flatnonzero(a[r + 1:, c].any(axis=1)))
         pivots.append(c)
+        values.append(val)
         r += 1
-        if r == nrows:
-            break
-    return a, pivots
+    return pivots, values, swaps
 
 
 def rank(field: FiniteField, a: np.ndarray) -> int:
-    return len(rref(field, a.copy())[1])
+    return len(_forward(field, a % field.p)[0])
+
+
+def det(field: FiniteField, a: np.ndarray) -> int:
+    """Determinant of a square array."""
+    n = a.shape[0]
+    pivots, values, swaps = _forward(field, a % field.p)
+    if len(pivots) < n:
+        return field.zero
+    out = field.neg(field.one) if swaps % 2 else field.one
+    for v in values:
+        out = field.mul(out, v)
+    return out
+
+
+def rref(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form (a new array) and its pivot columns: the
+    forward pass, then each pivot clears its column above it, last
+    pivot first."""
+    a = a % field.p
+    pivots = _forward(field, a)[0]
+    for r in range(len(pivots) - 1, 0, -1):
+        c = pivots[r]
+        _clear(field, a, r, c, np.flatnonzero(a[:r, c].any(axis=1)))
+    return a, pivots

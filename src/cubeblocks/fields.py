@@ -167,11 +167,9 @@ class FiniteField:
     """GF(p^m) with int-encoded elements; also serves as a ring object.
 
     Ring protocol attributes used throughout the package: ``zero``,
-    ``one``, ``char``, ``is_field``, and methods ``add``, ``sub``,
-    ``neg``, ``mul``, ``inv``.
+    ``one``, ``char``, and methods ``add``, ``sub``, ``neg``, ``mul``,
+    ``inv``.
     """
-
-    is_field = True
 
     def __init__(self, p: int, m: int = 1, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):

@@ -92,15 +92,10 @@ class ThickProfile:
         for i in range(d):
             other = [e for j, e in enumerate(spec.edges) if j != i]
             lines = [t for t in itertools.product(*(range(e) for e in other))]
-            if ordering == "lex":
-                pass
-            elif ordering == "colex":
+            if ordering == "colex":
                 lines.sort(key=lambda t: tuple(reversed(t)))
-            else:
-                perm = list(ordering[i])
-                if sorted(perm) != list(range(len(lines))):
-                    raise InputError(f"axis {i}: not a permutation of {len(lines)} slots")
-                lines = [lines[k] for k in perm]
+            elif ordering != "lex":
+                raise InputError(f"unknown line ordering {ordering!r}")
             self.axis_lines.append(lines)
         self.line_slot = [
             {t: k for k, t in enumerate(lines)} for lines in self.axis_lines]
@@ -291,7 +286,7 @@ def _assemble_field(brick, spec, profile, order):
 
 
 def evolve(brick: BrickSpec, steps: int, edge: int,
-           cap: int = 4096, ordering="lex") -> list[tuple[RingMatrix, ThickProfile]]:
+           cap: int = 4096) -> list[tuple[RingMatrix, ThickProfile]]:
     """Iterate block making: each step's thick spaces become the next
     step's thin spaces."""
     if steps < 1:
@@ -305,7 +300,7 @@ def evolve(brick: BrickSpec, steps: int, edge: int,
                 f"thick dimension would exceed the cap {cap}")
         spec = LatticeSpec(current.d, edges=(edge,) * current.d,
                            thin_dims=current.thin_dims)
-        block, profile = assemble_block(current, spec, ordering=ordering)
+        block, profile = assemble_block(current, spec)
         out.append((block, profile))
         current = BrickSpec(current.d, profile.dims, block)
     return out

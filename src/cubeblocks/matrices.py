@@ -2,14 +2,21 @@
 
 All vectors in this package are rows and matrices act on them from the
 right: applying ``a`` then ``b`` to a row ``x`` is ``x @ (a @ b)``.
-Field-only routines (rref, kernel, inverse) require ``ring.is_field``.
+The elimination routines (rref, rank, kernel, inverse, and the
+determinant over a field) need a ``FiniteField`` and run on the
+``fieldmat`` array kernel; products, the cofactor determinant and the
+Berkowitz characteristic polynomial work over any commutative ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InputError, SingularMatrixError, UnsupportedRingError
+from .fields import FiniteField
+from . import fieldmat
 
 
 @dataclass(frozen=True)
@@ -253,51 +260,30 @@ def direct_sum(ms: list) -> RingMatrix:
 
 
 # ----------------------------------------------------------------------
-# Elimination (fields)
+# Elimination (finite fields, through the fieldmat kernel)
 # ----------------------------------------------------------------------
 
+def _finite_field(m: RingMatrix, what: str) -> FiniteField:
+    if not isinstance(m.ring, FiniteField):
+        raise UnsupportedRingError(f"{what} needs a finite field")
+    return m.ring
+
+
 def rref(m: RingMatrix) -> tuple[RingMatrix, list[int]]:
-    """Reduced row echelon form over a field; deterministic pivoting
-    (first nonzero entry left-to-right, rows top-to-bottom)."""
-    ring = m.ring
-    if not getattr(ring, "is_field", False):
-        raise UnsupportedRingError("rref needs a field")
-    a = m.to_rows()
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i][c] != ring.zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = ring.inv(a[r][c])
-        if inv != ring.one:
-            a[r] = [ring.mul(inv, v) for v in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != ring.zero:
-                f = a[i][c]
-                a[i] = [ring.sub(v, ring.mul(f, w)) for v, w in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return RingMatrix.from_rows(ring, a), pivots
+    """Reduced row echelon form over a finite field and its pivot columns."""
+    field = _finite_field(m, "rref")
+    red, pivots = fieldmat.rref(field, fieldmat.to_array(field, m))
+    return fieldmat.from_array(field, red), pivots
 
 
 def rank(m: RingMatrix) -> int:
-    return len(rref(m)[1])
+    field = _finite_field(m, "rank")
+    return fieldmat.rank(field, fieldmat.to_array(field, m))
 
 
 def row_kernel(m: RingMatrix) -> list[list]:
     """Basis of {x : x @ m = 0}; the basis matrix is in RREF."""
-    ring = m.ring
-    if not getattr(ring, "is_field", False):
-        raise UnsupportedRingError("row_kernel needs a field")
+    ring = _finite_field(m, "row_kernel")
     # right nullspace of m^T
     red, pivots = rref(m.transpose())
     n = m.rows
@@ -320,48 +306,26 @@ def row_kernel(m: RingMatrix) -> list[list]:
 def mat_inverse(m: RingMatrix) -> RingMatrix:
     if m.rows != m.cols:
         raise InputError("inverse of a non-square matrix")
-    ring = m.ring
-    if not getattr(ring, "is_field", False):
-        raise UnsupportedRingError("inverse needs a field")
+    field = _finite_field(m, "inverse")
     n = m.rows
-    aug = RingMatrix.zeros(ring, n, 2 * n)
-    aug.set_block(0, 0, m)
-    aug.set_block(0, n, RingMatrix.identity(ring, n))
-    red, pivots = rref(aug)
+    aug = np.concatenate(
+        [fieldmat.to_array(field, m), fieldmat.eye(field, n)], axis=1)
+    red, pivots = fieldmat.rref(field, aug)
     got = len([p for p in pivots if p < n])
     if got < n:
         raise SingularMatrixError(f"singular matrix (rank {got})", rank=got)
-    return red.submatrix(range(n), range(n, 2 * n))
+    return fieldmat.from_array(field, red[:, n:])
 
 
 def mat_det(m: RingMatrix):
-    """Exact determinant: elimination over fields, cofactor expansion
-    over other commutative rings (small dimensions only)."""
+    """Exact determinant: elimination over finite fields, cofactor
+    expansion over other commutative rings (small dimensions only)."""
     if m.rows != m.cols:
         raise InputError("determinant of a non-square matrix")
     ring = m.ring
     n = m.rows
-    if getattr(ring, "is_field", False):
-        a = m.to_rows()
-        det = ring.one
-        for c in range(n):
-            piv = None
-            for i in range(c, n):
-                if a[i][c] != ring.zero:
-                    piv = i
-                    break
-            if piv is None:
-                return ring.zero
-            if piv != c:
-                a[c], a[piv] = a[piv], a[c]
-                det = ring.neg(det)
-            det = ring.mul(det, a[c][c])
-            inv = ring.inv(a[c][c])
-            for i in range(c + 1, n):
-                if a[i][c] != ring.zero:
-                    f = ring.mul(a[i][c], inv)
-                    a[i] = [ring.sub(v, ring.mul(f, w)) for v, w in zip(a[i], a[c])]
-        return det
+    if isinstance(ring, FiniteField):
+        return fieldmat.det(ring, fieldmat.to_array(ring, m))
     if n > 6:
         raise UnsupportedRingError(
             "cofactor determinant limited to dimension 6 over non-field rings")
@@ -454,7 +418,6 @@ def gauge_conjugate(r: RingMatrix, profile: BlockProfile, gs: list[RingMatrix]) 
 class IntegerRing:
     """The ring of integers (arbitrary-precision, so never overflows)."""
 
-    is_field = False
     char = 0
     zero = 0
     one = 1

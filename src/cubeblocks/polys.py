@@ -206,8 +206,6 @@ class MultiPoly:
 class PolyRing:
     """Ring object over MultiPoly elements (char 0 = integers)."""
 
-    is_field = False
-
     def __init__(self, variables, char: int = 0):
         self.vars = tuple(variables)
         self.char = char

@@ -91,6 +91,20 @@ def test_brick_entry_outside_field_is_exit_2(entries, capsys):
     assert "error:" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("field,d", [('{"p": 1e400, "m": 1, "modulus": [0, 1]}', "2"),
+                                     ('{"p": 2, "m": 1, "modulus": [0, 1]}', "1e400"),
+                                     ('{"p": 2, "m": -1e400, "modulus": [0, 1]}', "2"),
+                                     ('{"p": 2, "m": 1, "modulus": [0, Infinity]}', "2")],
+                         ids=["p", "d", "m", "modulus"])
+def test_non_finite_json_number_is_exit_2(field, d, capsys):
+    text = (f'{{"d": {d}, "thin_dims": [1, 1], "field": {field}, '
+            f'"entries": [[1, 0], [1, 1]]}}')
+    assert main(["census", "--brick", text, "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "Traceback" not in captured.err
+
+
 def test_missing_file_is_exit_2(capsys):
     assert main(["assemble", "--brick", "/no/such/file.json",
                  "--no-timestamp"]) == 2
@@ -104,3 +118,9 @@ def test_cap_dim_is_exit_2(brick3_path, capsys):
 def test_unknown_suite_rejected():
     with pytest.raises(SystemExit):
         main(["verify", "nonsense"])
+
+
+def test_unknown_ordering_rejected(brick3_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["assemble", "--brick", brick3_path, "--ordering", "((1, 0), (0, 1))"])
+    assert exc.value.code == 2

@@ -53,12 +53,6 @@ def test_cube_sampled():
     assert rep.verdict.ok
 
 
-def test_cube_wrong_ordering_fails():
-    bad = ((1, 0, 2, 3), (0, 1, 2, 3), (0, 1, 2, 3))
-    rep = D.verify_decomposition_3d("symbolic", ordering=bad)
-    assert not rep.verdict.ok
-
-
 def test_cube_routes_symmetric_inputs():
     f = FiniteField(2, 16)
     rng = random.Random(3)
