@@ -333,7 +333,7 @@ def cmd_evolve(args) -> int:
     entries = [[brick.matrix[i, j] for j in range(brick.matrix.cols)]
                for i in range(brick.matrix.rows)]
     case = None
-    if d == 2 and brick.thin_dims == (1, 1):
+    if d == 2 and brick.thin_dims == (1, 1) and field.p == 2:
         case = "2d"
     elif d == 3 and brick.thin_dims == (1, 1, 1) and field.p == 2:
         sym = all(entries[i][j] == entries[j][i]
@@ -368,6 +368,13 @@ def cmd_reduce4d(args) -> int:
     brick4 = _load_brick(args.brick)
     if brick4.d != 4 or brick4.thin_dims != (1, 1, 1, 1):
         raise InputError("reduce4d expects a 4-axis brick with unit thin spaces")
+    if args.n < 0:
+        raise InputError(f"--n must be at least 0, got {args.n}")
+    cap = args.cap_dim or 4096
+    # compare exponents first, so that a huge n is never raised to a power
+    if args.n > cap.bit_length() or 3 * 2 ** args.n > cap:
+        raise ResourceLimitError(
+            f"folded brick dimension 3*2^{args.n} exceeds --cap-dim {cap}")
     brick = dim4.Brick4(brick4.matrix)
     length = 2 ** args.n
     report = _report_skeleton(args, "reduce4d")
@@ -380,8 +387,9 @@ def cmd_reduce4d(args) -> int:
         report["degenerate_reason"] = str(exc)
         _emit(report, args)
         return EXIT_VERIFIED
-    report["entry_tags"] = [[e.tag for e in row] for row in reduced.tagged()]
-    report["entries"] = [[matrix_to_json(x) for x in row]
+    tag = "Circulant" if args.case == "Periodic4" else "UpperToeplitz"
+    report["entry_tags"] = [[tag] * 3 for _ in range(3)]
+    report["entries"] = [[matrix_to_json(reduced.algebra.matrix(x)) for x in row]
                          for row in reduced.entries]
     try:
         report["nondegenerate"] = dim4.nondegeneracy_4d(brick, args.case, args.n)

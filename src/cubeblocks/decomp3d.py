@@ -24,7 +24,7 @@ from .fields import FiniteField, sqrt_char2
 from .identity import Verdict, failure_bound_log2
 from .lattice import LatticeSpec, BrickSpec, assemble_block
 from .matrices import RingMatrix, charpoly, mat_det, row_vec_mul
-from .polys import MultiPoly, PolyRing
+from .polys import MultiPoly, PolyRing, ShiftAlgebra
 from . import fieldmat
 
 GEN3_VARS = ("a11", "a12", "a13", "a21", "a22", "a23", "a31", "a32", "a33")
@@ -588,12 +588,11 @@ def symmetric_g_vectors(ring, a):
 
 def _exact_div(ring, x, denom):
     """Exact division by an element known to divide x (a monomial in the
-    polynomial case, a base-scalar in the pair-algebra case)."""
-    if isinstance(ring, SymPairRing):
-        if denom[1] != ring.base.zero:
-            raise InputError("pair-algebra division needs a scalar denominator")
-        return (_exact_div(ring.base, x[0], denom[0]),
-                _exact_div(ring.base, x[1], denom[0]))
+    polynomial case, a base scalar in the shift-algebra case)."""
+    if isinstance(ring, ShiftAlgebra):
+        if not ring.is_scalar(denom):
+            raise InputError("shift-algebra division needs a scalar denominator")
+        return tuple(_exact_div(ring.base, c, denom[0]) for c in x)
     if isinstance(x, MultiPoly):
         q = x.monomial_quotient(denom)
         if q is None:
@@ -629,44 +628,6 @@ def g3_typo_report() -> dict:
         "typo_confirmed": g2 == printed[1] and g3 != printed[2],
         "g3_recomputed": [repr(x) for x in g3],
     }
-
-
-class SymPairRing:
-    """Commutative algebra spanned by 1 and an involution t (t^2 = 1)
-    over a base ring; elements are pairs (u, v) meaning u + v t."""
-
-    def __init__(self, base):
-        self.base = base
-        self.char = base.char
-        self.zero = (base.zero, base.zero)
-        self.one = (base.one, base.zero)
-        self.t = (base.zero, base.one)
-
-    def embed(self, x):
-        return (x, self.base.zero)
-
-    def add(self, x, y):
-        return (self.base.add(x[0], y[0]), self.base.add(x[1], y[1]))
-
-    def sub(self, x, y):
-        return (self.base.sub(x[0], y[0]), self.base.sub(x[1], y[1]))
-
-    def neg(self, x):
-        return (self.base.neg(x[0]), self.base.neg(x[1]))
-
-    def mul(self, x, y):
-        b = self.base
-        return (b.add(b.mul(x[0], y[0]), b.mul(x[1], y[1])),
-                b.add(b.mul(x[0], y[1]), b.mul(x[1], y[0])))
-
-    def __eq__(self, other):
-        return isinstance(other, SymPairRing) and self.base == other.base
-
-    def __hash__(self):
-        return hash(("SymPairRing", self.base))
-
-    def __repr__(self):
-        return f"SymPairRing({self.base!r})"
 
 
 def _sigma_symmetric(ring, a) -> RingMatrix:
@@ -730,8 +691,9 @@ def verify_symmetric_decomposition(level: str = "simple", mode: str = "symbolic"
             sym_of = lambda i, j: entries[i - 1][j - 1]
         else:
             sym_of = lambda i, j: base.gen(f"a{min(i, j)}{max(i, j)}")
-        ring = SymPairRing(base)
-        a = [[ring.embed(sym_of(i, j)) for j in (1, 2, 3)] for i in (1, 2, 3)]
+        # entries in base[t]/(t^2 - 1): a23 = a32 carries the involution t
+        ring = ShiftAlgebra(base, 2, periodic=True)
+        a = [[ring.scalar(sym_of(i, j)) for j in (1, 2, 3)] for i in (1, 2, 3)]
         a[1][2] = (base.zero, sym_of(2, 3))
         a[2][1] = a[1][2]
         summands = [("SimpleSymmetric", 4), ("DoubleBrick", 2)]

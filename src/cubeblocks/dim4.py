@@ -2,8 +2,9 @@
 
 A 4x4 brick repeated l times along the fourth axis, with the axis-4
 boundary condition folded in, acts like a 3x3 brick whose entries live
-in a commutative algebra of l x l matrices: circulants for the periodic
-condition, upper triangular Toeplitz matrices for the zero-input one.
+in the shift algebra F[t]/(t^l - 1) for the periodic condition or
+F[t]/(t^l) for the zero-input one; as l x l matrices these are the
+circulants and the upper triangular Toeplitz matrices.
 The stratification of the hypercube block into independent 3D layers is
 verified through the same conjugation identity as the scalar case.
 """
@@ -17,49 +18,12 @@ from .errors import InputError, SingularMatrixError
 from .fields import FiniteField
 from .identity import Verdict
 from .lattice import LatticeSpec, BrickSpec, assemble_block
-from .matrices import RingMatrix, mat_det, mat_inverse
+from .matrices import RingMatrix, mat_det
 from .census import BoundaryConditions, count_configs
+from .polys import ShiftAlgebra
 from . import decomp3d
 
 CASES = ("Periodic4", "ZeroInput4")
-
-
-class MatrixAlgebra:
-    """l x l matrices over a field as a ring of elements (not assumed
-    commutative; commutativity of the reduced entries is checked where
-    the theory requires it)."""
-
-    def __init__(self, field: FiniteField, l: int):
-        self.field = field
-        self.l = l
-        self.char = field.p
-        self.zero = RingMatrix.zeros(field, l, l)
-        self.one = RingMatrix.identity(field, l)
-
-    def scalar(self, c) -> RingMatrix:
-        return RingMatrix.scalar(self.field, self.l, c)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a @ b
-
-    def __eq__(self, other):
-        return (isinstance(other, MatrixAlgebra)
-                and (self.field, self.l) == (other.field, other.l))
-
-    def __hash__(self):
-        return hash(("MatrixAlgebra", self.field, self.l))
-
-    def __repr__(self):
-        return f"MatrixAlgebra({self.field!r}, {self.l})"
 
 
 @dataclass
@@ -110,87 +74,58 @@ def shift_matrix(field: FiniteField, l: int, case: str) -> RingMatrix:
     return t
 
 
-def is_circulant(m: RingMatrix) -> bool:
-    l = m.rows
-    return all(m[i, j] == m[0, (j - i) % l] for i in range(l) for j in range(l))
-
-
-def is_upper_toeplitz(m: RingMatrix) -> bool:
-    l = m.rows
-    return all(m[i, j] == (m[0, j - i] if j >= i else m.ring.zero)
-               for i in range(l) for j in range(l))
-
-
-@dataclass
-class AlgebraElement:
-    matrix: RingMatrix
-    tag: str
-
-    @property
-    def first_row(self) -> list:
-        return self.matrix.row(0)
-
-    def __post_init__(self):
-        ok = {"Circulant": is_circulant, "UpperToeplitz": is_upper_toeplitz,
-              "General": lambda m: True}[self.tag](self.matrix)
-        if not ok:
-            raise InputError(f"matrix does not match the {self.tag} pattern")
-
-
 @dataclass
 class Reduced3D:
-    """3x3 brick over the chain algebra, plus structure bookkeeping."""
-    algebra: MatrixAlgebra
-    entries: list          # 3x3 nested list of RingMatrix over the field
-    case: str
-    l: int
-
-    def tagged(self) -> list:
-        tag = "Circulant" if self.case == "Periodic4" else "UpperToeplitz"
-        return [[AlgebraElement(x, tag) for x in row] for row in self.entries]
-
-    def brick_over_algebra(self) -> BrickSpec:
-        return BrickSpec(3, (1, 1, 1),
-                         RingMatrix.from_rows(self.algebra, self.entries))
+    """3x3 brick with entries in the chain's shift algebra."""
+    algebra: ShiftAlgebra
+    entries: list          # 3x3 nested list of algebra elements
 
     def brick_over_field(self) -> BrickSpec:
         """The same brick flattened to a 3l x 3l field matrix with thin
         dimensions (l, l, l)."""
-        field = self.algebra.field
-        l = self.l
-        out = RingMatrix.zeros(field, 3 * l, 3 * l)
+        alg = self.algebra
+        l = alg.l
+        out = RingMatrix.zeros(alg.base, 3 * l, 3 * l)
         for i in range(3):
             for j in range(3):
-                out.set_block(i * l, j * l, self.entries[i][j])
+                out.set_block(i * l, j * l, alg.matrix(self.entries[i][j]))
         return BrickSpec(3, (l, l, l), out)
 
 
 def reduce_chain_4d(brick: Brick4, l: int, case: str) -> Reduced3D:
     """Fold a length-l chain of 4x4 bricks along the fourth axis into a
-    3x3 brick with entries in the algebra generated by the shift."""
+    3x3 brick with entries k_ij + l_i m_j w in the shift algebra, where
+    w = t (1 - b44 t)^-1 sums the paths through the chain."""
+    if case not in CASES:
+        raise InputError(f"unknown chain case {case!r}")
     field = brick.field
-    if case == "Periodic4" and field.pow(brick.b44, l) == field.one:
-        raise SingularMatrixError(
-            "b44 is an l-th root of unity; the chain cannot be folded")
-    t = shift_matrix(field, l, case)
-    resolvent = RingMatrix.identity(field, l) - t.scalar_mul(brick.b44)
-    w = mat_inverse(resolvent) @ t
+    b44 = brick.b44
+    alg = ShiftAlgebra(field, l, case == "Periodic4")
+    # (1 - b44 t)(1 + b44 t + ... + (b44 t)^(l-1)) = 1 - b44^l t^l, which
+    # is 1 - b44^l when periodic and 1 when t^l = 0
+    series = [field.one]
+    for _ in range(l - 1):
+        series.append(field.mul(series[-1], b44))
+    if alg.periodic:
+        rest = field.sub(field.one, field.mul(series[-1], b44))
+        if rest == field.zero:
+            raise SingularMatrixError(
+                "b44 is an l-th root of unity; the chain cannot be folded")
+        inv = field.inv(rest)
+        w = [field.mul(c, inv) for c in series[-1:] + series[:-1]]
+    else:
+        w = [field.zero] + series[:-1]
     entries = []
     lcol, mrow = brick.l_col, brick.m_row
     for i in range(3):
         row = []
         for j in range(3):
             coeff = field.mul(lcol[i], mrow[j])
-            row.append(RingMatrix.scalar(field, l, brick.k[i, j])
-                       + w.scalar_mul(coeff))
+            entry = [field.mul(coeff, c) for c in w]
+            entry[0] = field.add(brick.k[i, j], entry[0])
+            row.append(tuple(entry))
         entries.append(row)
-    reduced = Reduced3D(MatrixAlgebra(field, l), entries, case, l)
-    reduced.tagged()  # pattern check per case
-    for x in (y for row in entries for y in row):
-        for z in (y for row in entries for y in row):
-            if x @ z != z @ x:
-                raise RuntimeError("reduced entries fail to commute")
-    return reduced
+    return Reduced3D(alg, entries)
 
 
 def circulant_det_charp(field: FiniteField, first_row: list, size: int):
@@ -203,10 +138,7 @@ def circulant_det_charp(field: FiniteField, first_row: list, size: int):
     while s % field.p == 0:
         s //= field.p
     if s != 1:
-        m = RingMatrix.from_rows(
-            field, [[first_row[(j - i) % size] for j in range(size)]
-                    for i in range(size)])
-        return mat_det(m)
+        return mat_det(ShiftAlgebra(field, size, True).matrix(first_row))
     total = field.zero
     for x in first_row:
         total = field.add(total, x)
@@ -250,7 +182,7 @@ def nondegeneracy_4d(brick: Brick4, case: str, n: int) -> bool:
     reduced = reduce_chain_4d(brick, l, case)
     alg = reduced.algebra
     d_elem = decomp3d.mixed_product_difference(alg, reduced.entries)
-    via_det = mat_det(d_elem) != field.zero
+    via_det = mat_det(alg.matrix(d_elem)) != field.zero
     if via_scalar != via_det:
         raise RuntimeError("nondegeneracy routes disagree")
     return via_det
@@ -278,8 +210,8 @@ def verify_stratification(brick: Brick4, n: int, case: str) -> decomp3d.Decompos
         for x in row:
             acc = x
             for _ in range(n):
-                acc = acc @ acc
-            if not acc.is_scalar():
+                acc = alg.mul(acc, acc)
+            if not alg.is_scalar(acc):
                 return decomp3d.DecompositionReport(
                     [], e, Verdict(False, witness={"failed": "scalar power"}))
     # predicted per-layer brick entries

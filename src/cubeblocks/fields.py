@@ -214,14 +214,6 @@ class FiniteField:
             x //= self.p
         return out
 
-    def encode(self, coeffs) -> int:
-        if len(coeffs) > self.m and any(c % self.p for c in coeffs[self.m:]):
-            raise InputError("coefficient vector longer than extension degree")
-        x = 0
-        for c in reversed(list(coeffs[:self.m])):
-            x = x * self.p + (int(c) % self.p)
-        return x
-
     def from_int(self, k: int) -> int:
         """Embed an integer via the prime subfield."""
         return k % self.p

@@ -161,10 +161,6 @@ class BrickSpec:
         return cls(d, thin_dims, m)
 
 
-def enumerate_lines(spec: LatticeSpec, ordering="lex") -> ThickProfile:
-    return ThickProfile(spec, ordering)
-
-
 def embed_brick_at(brick: BrickSpec, vertex: tuple[int, ...],
                    profile: ThickProfile) -> RingMatrix:
     spec = profile.spec

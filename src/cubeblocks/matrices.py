@@ -227,21 +227,6 @@ def row_vec_mul(x: list, a: RingMatrix) -> list:
     return acc
 
 
-def kron(a: RingMatrix, b: RingMatrix) -> RingMatrix:
-    """Kronecker product; row/col index is (outer, inner) lexicographic."""
-    if a.ring != b.ring:
-        raise InputError("ring mismatch")
-    ring = a.ring
-    out = RingMatrix.zeros(ring, a.rows * b.rows, a.cols * b.cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            c = a[i, j]
-            if c == ring.zero:
-                continue
-            out.set_block(i * b.rows, j * b.cols, b.scalar_mul(c))
-    return out
-
-
 def direct_sum(ms: list) -> RingMatrix:
     if not ms:
         raise InputError("direct sum of an empty list")
@@ -414,31 +399,3 @@ def gauge_conjugate(r: RingMatrix, profile: BlockProfile, gs: list[RingMatrix]) 
         raise InputError(f"gauge factor is singular: {exc}") from exc
     return mat_mul(mat_mul(ginv, r), g)
 
-
-class IntegerRing:
-    """The ring of integers (arbitrary-precision, so never overflows)."""
-
-    char = 0
-    zero = 0
-    one = 1
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash("IntegerRing")
-
-    def __repr__(self):
-        return "Z"

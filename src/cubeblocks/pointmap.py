@@ -48,9 +48,6 @@ class PointMap:
     def __call__(self, idx: int) -> int:
         return self.table[idx]
 
-    def is_bijective(self) -> bool:
-        return len(set(self.table)) == len(self.table)
-
     def image_size(self) -> int:
         return len(set(self.table))
 

@@ -1,4 +1,5 @@
-"""Sparse multivariate polynomials over F_p or the integers.
+"""Sparse multivariate polynomials over F_p or the integers, and the
+shift algebras base[t]/(t^l - 1) and base[t]/(t^l) over any ring.
 
 A polynomial is a map from exponent vectors to nonzero coefficients.
 The coefficient ring is tagged by ``char``: 0 means integer coefficients
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 from .errors import InputError
 from .fields import FiniteField
+from .matrices import RingMatrix
 
 
 def _gradedlex_key(expts: tuple[int, ...]):
@@ -130,22 +132,6 @@ class MultiPoly:
             out[q] = c
         return MultiPoly(self.vars, self.char, out)
 
-    def extend_vars(self, variables: tuple[str, ...]) -> "MultiPoly":
-        """Re-embed into a ring with a superset of the variables."""
-        variables = tuple(variables)
-        idx = []
-        for v in self.vars:
-            if v not in variables:
-                raise InputError(f"variable {v!r} missing from target ring")
-            idx.append(variables.index(v))
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(variables)
-            for i, x in zip(idx, e):
-                ne[i] = x
-            out[tuple(ne)] = c
-        return MultiPoly(variables, self.char, out)
-
     # -- evaluation ----------------------------------------------------
 
     def specialize(self, assignment: dict, field: FiniteField) -> int:
@@ -182,10 +168,7 @@ class MultiPoly:
             acc = field.add(acc, term)
         return acc
 
-    # -- serialization / display ---------------------------------------
-
-    def to_terms(self) -> list:
-        return [[list(e), c] for e, c in self.terms.items()]
+    # -- display ---------------------------------------
 
     def __repr__(self):
         if not self.terms:
@@ -251,3 +234,78 @@ class PolyRing:
     def __repr__(self):
         base = "Z" if self.char == 0 else f"F_{self.char}"
         return f"{base}[{', '.join(self.vars)}]"
+
+
+class ShiftAlgebra:
+    """The commutative algebra base[t]/(t^l - 1) (periodic) or
+    base[t]/(t^l) over a ring, with elements as coefficient tuples
+    (c_0, ..., c_{l-1}); the product is cyclic or truncated convolution.
+
+    In the regular representation t is the l x l superdiagonal shift
+    (closed into a cycle when periodic), so every element is a circulant
+    or an upper triangular Toeplitz matrix; ``matrix`` gives it."""
+
+    def __init__(self, base, l: int, periodic: bool):
+        self.base = base
+        self.l = l
+        self.periodic = periodic
+        self.zero = (base.zero,) * l
+        self.one = self.scalar(base.one)
+
+    def scalar(self, c) -> tuple:
+        return (c,) + (self.base.zero,) * (self.l - 1)
+
+    def is_scalar(self, a) -> bool:
+        return all(c == self.base.zero for c in a[1:])
+
+    def add(self, a, b):
+        add = self.base.add
+        return tuple(add(x, y) for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        sub = self.base.sub
+        return tuple(sub(x, y) for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(self.base.neg(x) for x in a)
+
+    def mul(self, a, b):
+        base, l = self.base, self.l
+        zero = base.zero
+        out = [zero] * l
+        for i, x in enumerate(a):
+            if x == zero:
+                continue
+            for j, y in enumerate(b):
+                k = i + j
+                if k >= l:
+                    if not self.periodic:
+                        break
+                    k -= l
+                if y != zero:
+                    out[k] = base.add(out[k], base.mul(x, y))
+        return tuple(out)
+
+    def matrix(self, a) -> RingMatrix:
+        """Regular representation: entry (i, j) is the coefficient of
+        t^(j - i), the exponent taken mod l when periodic and the entry
+        zero below the diagonal otherwise."""
+        l, zero = self.l, self.base.zero
+        if self.periodic:
+            rows = [[a[(j - i) % l] for j in range(l)] for i in range(l)]
+        else:
+            rows = [[a[j - i] if j >= i else zero for j in range(l)]
+                    for i in range(l)]
+        return RingMatrix.from_rows(self.base, rows)
+
+    def __eq__(self, other):
+        return (isinstance(other, ShiftAlgebra)
+                and (self.base, self.l, self.periodic)
+                == (other.base, other.l, other.periodic))
+
+    def __hash__(self):
+        return hash(("ShiftAlgebra", self.base, self.l, self.periodic))
+
+    def __repr__(self):
+        rel = f"t^{self.l} - 1" if self.periodic else f"t^{self.l}"
+        return f"{self.base!r}[t]/({rel})"

@@ -3,9 +3,12 @@ import random
 
 import pytest
 
+from cubeblocks import dim4
 from cubeblocks.cli import main
 from cubeblocks.fields import FiniteField
 from cubeblocks.lattice import BrickSpec
+from cubeblocks.matrices import RingMatrix, mat_inverse
+from cubeblocks.serialize import matrix_to_json
 
 
 @pytest.fixture
@@ -71,6 +74,71 @@ def test_evolve_2d(tmp_path, capsys):
     assert code == 0
     assert rep["case"] == "2d"
     assert rep["predicted_counts"] == [4]
+
+
+def test_evolve_planar_odd_p_is_unclassified(capsys):
+    # the split into two squared copies holds only in characteristic 2
+    brick = ('{"d": 2, "thin_dims": [1, 1], "entries": [[38, 37], [6, 27]], '
+             '"field": {"p": 13, "m": 3, "modulus": [2, 0, 0, 1]}}')
+    code, rep = _run_json(["evolve", "--brick", brick, "--no-timestamp"], capsys)
+    assert code == 0
+    assert rep["case"] == "unclassified" and "detection" not in rep
+
+
+F256 = FiniteField(2, 8)
+BRICK4 = [[12, 200, 7, 33], [5, 91, 140, 2], [250, 3, 66, 17], [9, 128, 45, 77]]
+
+
+def _brick4_json(b44=77):
+    rows = [list(r) for r in BRICK4]
+    rows[3][3] = b44
+    return json.dumps({"d": 4, "thin_dims": [1, 1, 1, 1], "entries": rows,
+                       "field": F256.to_json()})
+
+
+@pytest.mark.parametrize("case,tag", [("Periodic4", "Circulant"),
+                                      ("ZeroInput4", "UpperToeplitz")])
+def test_reduce4d_entries_match_matrix_route(case, tag, capsys):
+    code, rep = _run_json(["reduce4d", "--brick", _brick4_json(), "--case", case,
+                           "--n", "1", "--no-timestamp"], capsys)
+    assert code == 0 and rep["status"] == "verified"
+    assert rep["chain_length"] == 2
+    assert rep["entry_tags"] == [[tag] * 3] * 3
+    # k_ij 1 + b_i4 b_4j (1 - b44 T)^-1 T, with T the 2x2 shift matrix
+    b = RingMatrix.from_rows(F256, BRICK4)
+    t = dim4.shift_matrix(F256, 2, case)
+    w = mat_inverse(RingMatrix.identity(F256, 2) - t.scalar_mul(b[3, 3])) @ t
+    want = [[matrix_to_json(RingMatrix.scalar(F256, 2, b[i, j])
+                            + w.scalar_mul(F256.mul(b[i, 3], b[3, j])))
+             for j in range(3)] for i in range(3)]
+    assert rep["entries"] == want
+
+
+def test_reduce4d_root_of_unity_is_degenerate(capsys):
+    code, rep = _run_json(["reduce4d", "--brick", _brick4_json(b44=1),
+                           "--case", "Periodic4", "--no-timestamp"], capsys)
+    assert code == 0
+    assert rep["status"] == "degenerate" and "entries" not in rep
+
+
+def test_reduce4d_needs_four_axes(brick3_path, capsys):
+    assert main(["reduce4d", "--brick", brick3_path, "--no-timestamp"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["--n", "-1"], ["--n", "70"], ["--n", "11"],
+                                   ["--n", "2", "--cap-dim", "6"]],
+                         ids=["negative", "n70", "n11", "cap"])
+def test_reduce4d_bad_n_is_exit_2(extra, capsys, monkeypatch):
+    # refused on arithmetic alone: folding the chain must not start
+    def fail(*args):
+        raise AssertionError("reduce_chain_4d called")
+    monkeypatch.setattr(dim4, "reduce_chain_4d", fail)
+    assert main(["reduce4d", "--brick", _brick4_json(), *extra,
+                 "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 def test_malformed_brick_is_exit_2(capsys):

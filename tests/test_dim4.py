@@ -7,7 +7,7 @@ from cubeblocks import dim4 as X
 from cubeblocks.census import BoundaryConditions
 from cubeblocks.errors import InputError, SingularMatrixError
 from cubeblocks.fields import FiniteField
-from cubeblocks.matrices import RingMatrix, mat_det
+from cubeblocks.matrices import RingMatrix, mat_det, mat_inverse
 
 F = FiniteField(2, 8)
 
@@ -33,13 +33,6 @@ def test_shift_matrices():
     assert t @ t @ t == RingMatrix.zeros(F, 3, 3)
 
 
-def test_pattern_predicates():
-    c = RingMatrix.from_rows(F, [[1, 2, 3], [3, 1, 2], [2, 3, 1]])
-    u = RingMatrix.from_rows(F, [[1, 2, 3], [0, 1, 2], [0, 0, 1]])
-    assert X.is_circulant(c) and not X.is_circulant(u)
-    assert X.is_upper_toeplitz(u) and not X.is_upper_toeplitz(c)
-
-
 # ----------------------------------------------------------------------
 # chain folding
 # ----------------------------------------------------------------------
@@ -63,12 +56,25 @@ def test_reduced_entries_b44_zero():
                         want[k, k + 1] = c
                 if case == "Periodic4":
                     want[2, 0] = c
-                assert red.entries[i][j] == want, (case, i, j)
+                assert red.algebra.matrix(red.entries[i][j]) == want, (case, i, j)
+
+
+def _matrix_route(b, l, case):
+    """Folded entries as l x l matrices: k_ij 1 + l_i m_j (1 - b44 T)^-1 T
+    with T the shift matrix of the case."""
+    t = X.shift_matrix(F, l, case)
+    w = mat_inverse(RingMatrix.identity(F, l) - t.scalar_mul(b.b44)) @ t
+    return [[RingMatrix.scalar(F, l, b.k[i, j])
+             + w.scalar_mul(F.mul(b.l_col[i], b.m_row[j]))
+             for j in range(3)] for i in range(3)]
 
 
 def test_reduction_commutes_and_tags():
+    # every folded entry equals its matrix-route value, so the entries
+    # are circulant (periodic) or upper triangular Toeplitz (zero input)
+    # polynomials in the shift; the matrix-route entries commute
     rng = random.Random(2)
-    for l in (2, 3, 4):
+    for l in (1, 2, 3, 4):
         for _ in range(3):
             while True:
                 b = X.Brick4.random(F, rng)
@@ -76,9 +82,12 @@ def test_reduction_commutes_and_tags():
                     break
             for case in X.CASES:
                 red = X.reduce_chain_4d(b, l, case)
-                tag = red.tagged()[0][0].tag
-                assert tag == ("Circulant" if case == "Periodic4"
-                               else "UpperToeplitz")
+                assert red.algebra.periodic == (case == "Periodic4")
+                ref = _matrix_route(b, l, case)
+                got = [[red.algebra.matrix(x) for x in row] for row in red.entries]
+                assert got == ref, (l, case)
+                flat = [x for row in ref for x in row]
+                assert all(x @ y == y @ x for x in flat for y in flat)
 
 
 def test_degenerate_chain_rejected():

@@ -7,7 +7,7 @@ from cubeblocks.errors import InputError
 from cubeblocks.fields import FiniteField
 from cubeblocks.lattice import (
     BrickSpec, LatticeSpec, ThickProfile, assemble_block, check_linear_extension,
-    default_order, embed_brick_at, enumerate_lines, evolve,
+    default_order, embed_brick_at, evolve,
     random_linear_extension,
 )
 from cubeblocks.matrices import RingMatrix
@@ -90,7 +90,7 @@ def test_assembly_independent_of_linear_extension():
 def test_embed_identity_off_support():
     rng = random.Random(9)
     brick = BrickSpec.random(F2, 2, (1, 1), rng)
-    prof = enumerate_lines(LatticeSpec(2, l=3))
+    prof = ThickProfile(LatticeSpec(2, l=3))
     m = embed_brick_at(brick, (1, 2), prof)
     touched = {prof.position(0, (1, 2)), prof.position(1, (1, 2)) }
     for i in range(m.rows):

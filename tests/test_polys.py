@@ -1,9 +1,12 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubeblocks.dim4 import shift_matrix
 from cubeblocks.fields import FiniteField
-from cubeblocks.polys import MultiPoly, PolyRing
+from cubeblocks.matrices import RingMatrix
+from cubeblocks.polys import MultiPoly, PolyRing, ShiftAlgebra
 
 VARS = ("a", "b", "c")
 
@@ -63,16 +66,35 @@ def test_monomial_quotient():
     assert (a + b).monomial_quotient(c) is None
 
 
-def test_extend_vars():
-    small = PolyRing(("a",), 2)
-    big = PolyRing(("a", "b"), 2)
-    lifted = small.gen("a").extend_vars(("a", "b"))
-    assert lifted == big.gen("a")
-
-
 def test_total_degree_and_terms():
     ring = PolyRing(VARS, 0)
     a, b, c = ring.gens()
     p = a * b * c + a + ring.one
     assert p.total_degree() == 3
     assert p.num_terms() == 3
+
+
+# ----------------------------------------------------------------------
+# shift algebra
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("base", [FiniteField(2, 8), FiniteField(3, 2),
+                                  PolyRing(("x", "y"), 0)], ids=repr)
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_shift_algebra_matrix_is_ring_homomorphism(base, periodic, l):
+    alg = ShiftAlgebra(base, l, periodic)
+    rng = random.Random(l)
+    mat = alg.matrix
+    sample = lambda: tuple(base.sample(rng) for _ in range(l))
+    assert mat(alg.one) == RingMatrix.identity(base, l)
+    for _ in range(8):
+        a, b = sample(), sample()
+        assert mat(alg.mul(a, b)) == mat(a) @ mat(b)
+        assert mat(alg.add(a, b)) == mat(a) + mat(b)
+        assert mat(alg.sub(a, b)) == mat(a) - mat(b)
+        assert mat(alg.neg(a)) == -mat(a)
+    if l >= 2:
+        t = (base.zero, base.one) + (base.zero,) * (l - 2)
+        case = "Periodic4" if periodic else "ZeroInput4"
+        assert mat(t) == shift_matrix(base, l, case)
