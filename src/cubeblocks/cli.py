@@ -391,11 +391,16 @@ def cmd_reduce4d(args) -> int:
     report["entry_tags"] = [[tag] * 3 for _ in range(3)]
     report["entries"] = [[matrix_to_json(reduced.algebra.matrix(x)) for x in row]
                          for row in reduced.entries]
-    try:
-        report["nondegenerate"] = dim4.nondegeneracy_4d(brick, args.case, args.n)
-    except SingularMatrixError as exc:
-        report["nondegenerate"] = False
-        report["degenerate_reason"] = str(exc)
+    if brick.field.p != 2:
+        # the folding holds in every characteristic, the criterion does not
+        report["nondegenerate"] = None
+        report["nondegenerate_reason"] = "the nondegeneracy criterion is for characteristic 2"
+    else:
+        try:
+            report["nondegenerate"] = dim4.nondegeneracy_4d(brick, args.case, args.n)
+        except SingularMatrixError as exc:
+            report["nondegenerate"] = False
+            report["degenerate_reason"] = str(exc)
     report["status"] = "verified"
     _emit(report, args)
     return EXIT_VERIFIED

@@ -412,10 +412,15 @@ def _sampled_cube_arrays(field, rng):
     return a, blocks, n
 
 
-def _b3_failure_bound(p: int, field: FiniteField, trials: int) -> float:
-    # entries of the block have degree <= p^3 in the brick entries; the
-    # checked products are quadratic in those
-    return failure_bound_log2(2 * p ** 3, field.q, trials)
+def _b3_degrees(p: int) -> tuple[int, int]:
+    """Degrees in the brick entries of the polynomials each sampled claim
+    tests, as (scalar, spectrum).  Block entries have degree <= p^3, so
+    the pair products have degree 2p^3 and M = R12 R23 R31 degree 3p^3.
+    The spectrum claim tests (M - lam1)(M - lam2), of degree 6p^3, and
+    each expected rank r of M - lam through the (r+1)-minors, of degree
+    (r+1) 3p^3; it takes the largest."""
+    ranks = (p * (p - 1) // 2, p * (p + 1) // 2)
+    return 2 * p ** 3, max(6 * p ** 3, *((r + 1) * 3 * p ** 3 for r in ranks))
 
 
 def _scalar_failure_symbolic(ring, a, sub):
@@ -503,7 +508,7 @@ def _b3_pass(p: int, mode: str, trials: int, seed: int, m: int) -> tuple[Verdict
         sub = lambda i, j: blk.submatrix(bp.block_range(i), bp.block_range(j))
         bad_scalar = _scalar_failure_symbolic(ring, a, sub)
         bad_spectrum = _spectrum_failure_symbolic(ring, a, sub)
-        bound, details, exponent = None, {"mode": "symbolic", "p": 2}, 2
+        bounds, details, exponent = (None, None), [{"mode": "symbolic", "p": 2}] * 2, 2
     else:
         field = FiniteField(p, m)
         rng = random.Random(seed)
@@ -518,15 +523,17 @@ def _b3_pass(p: int, mode: str, trials: int, seed: int, m: int) -> tuple[Verdict
                     field, p, trial, a, blocks, n, exponents)
             if bad_spectrum is None:
                 bad_spectrum = _spectrum_failure_sampled(field, p, trial, a, blocks, n)
-        bound = _b3_failure_bound(p, field, trials)
-        details = {"mode": "sampled", "p": p, "trials": trials}
+        degrees = _b3_degrees(p)
+        bounds = [failure_bound_log2(d, field.q, trials) for d in degrees]
+        details = [{"mode": "sampled", "p": p, "trials": trials, "degree_bound": d}
+                   for d in degrees]
         exponent = sorted(exponents)
     scalar = Verdict(False, witness=bad_scalar) if bad_scalar else Verdict(
-        True, log2_failure_bound=bound,
-        details={**details, "scalar_exponent": exponent})
+        True, log2_failure_bound=bounds[0],
+        details={**details[0], "scalar_exponent": exponent})
     spectrum = Verdict(False, witness=bad_spectrum) if bad_spectrum else Verdict(
-        True, log2_failure_bound=bound,
-        details={**details, "multiplicities": [p * (p - 1) // 2, p * (p + 1) // 2]})
+        True, log2_failure_bound=bounds[1],
+        details={**details[1], "multiplicities": [p * (p - 1) // 2, p * (p + 1) // 2]})
     return scalar, spectrum
 
 

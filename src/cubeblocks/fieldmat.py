@@ -4,20 +4,42 @@ A matrix is an int64 ndarray of shape (rows, cols, m) holding the
 polynomial-basis coefficients of each entry, reduced mod p.  Every
 Gaussian elimination over a finite field in the package runs here, on
 one forward-elimination kernel: ``rank``, ``det`` and ``rref`` build on
-it, and ``matrices`` routes its field routines through them.  Products
-and the sampled structure checks use ``matmul`` and ``fold_reduce``.
+it, and ``matrices`` routes its field routines through them.
+
+Products go through the regular representation.  The multiplication
+tensor T[a, b] = x^a * x^b mod f is built once per field by
+``fold_reduce``, the one place where the modulus folds in; an entry e
+then acts as the m x m matrix over F_p whose row s holds x^s * e.  So
+``matmul``, each elimination step and each batch of block assembly is
+one matrix product over the integers followed by one reduction mod p.
+That product runs as float64 BLAS, which is exact integer arithmetic
+while every partial sum stays below 2^53; past that bound it runs in
+int64 on reduced operands, exact below 2^63, and past that it raises
+``InputError``.  The choice follows from the shapes and from p alone.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import matrices
+from .errors import InputError
 from .fields import FiniteField
+
+_FLOAT_EXACT = 1 << 53
+_INT_EXACT = 1 << 63
+
+
+def _int_dtype(field: FiniteField):
+    """int64 for the int encodings of the elements when they fit, else
+    Python ints, so that fields of 2^63 elements or more stay exact."""
+    return np.int64 if field.q <= _INT_EXACT else object
 
 
 def to_array(field: FiniteField, m: matrices.RingMatrix) -> np.ndarray:
-    vals = np.array(m.data, dtype=np.int64).reshape(m.rows, m.cols)
+    vals = np.array(m.data, dtype=_int_dtype(field)).reshape(m.rows, m.cols)
     return ints_to_coeffs(field, vals)
 
 
@@ -31,14 +53,16 @@ def ints_to_coeffs(field: FiniteField, vals: np.ndarray) -> np.ndarray:
     out = np.empty(vals.shape + (field.m,), dtype=np.int64)
     v = vals.copy()
     for i in range(field.m):
-        v, out[..., i] = np.divmod(v, field.p)
+        out[..., i] = v % field.p
+        v = v // field.p
     return out
 
 
 def coeffs_to_ints(field: FiniteField, arr: np.ndarray) -> np.ndarray:
-    out = np.zeros(arr.shape[:-1], dtype=np.int64)
-    for i in range(field.m - 1, -1, -1):
-        out = out * field.p + arr[..., i] % field.p
+    arr = arr.astype(_int_dtype(field), copy=False) % field.p
+    out = arr[..., field.m - 1]
+    for i in range(field.m - 2, -1, -1):
+        out = out * field.p + arr[..., i]
     return out
 
 
@@ -56,9 +80,72 @@ def fold_reduce(field: FiniteField, conv: np.ndarray) -> np.ndarray:
     return res % field.p
 
 
+def _product(p: int, x: np.ndarray, y: np.ndarray, xmax: int, ymax: int,
+             reduce: bool = True) -> tuple[np.ndarray, int]:
+    """x @ y (numpy matmul broadcasting) for arrays of nonnegative
+    integers at most xmax and ymax, and a bound on the entries returned.
+
+    Float64 BLAS is exact while the sum of k terms is below 2^53.  Past
+    that the operands are reduced mod p and multiplied in int64, exact
+    below 2^63; past that the product cannot be formed exactly.  The
+    result is reduced mod p (int64) unless reduce is false and float64
+    was exact, in which case it is the unreduced float64 product."""
+    k = x.shape[-1]
+    bound = k * xmax * ymax
+    if bound < _FLOAT_EXACT:
+        out = np.matmul(x.astype(np.float64, copy=False), y.astype(np.float64, copy=False))
+        if not reduce:
+            return out, bound
+        out = out.astype(np.int64)
+        return np.remainder(out, p, out=out), p - 1
+    if k * (p - 1) ** 2 >= _INT_EXACT:
+        raise InputError(
+            f"F_{p} is too large for exact int64 products of {k} terms")
+    xr = np.asarray(x, dtype=np.int64) % p
+    yr = np.asarray(y, dtype=np.int64) % p
+    return np.matmul(xr, yr) % p, p - 1
+
+
+@functools.lru_cache(maxsize=8)
+def _tensor(field: FiniteField) -> np.ndarray:
+    """T as an (m, m*m) float64 array: row a, column (b, t) holds
+    coefficient t of x^a * x^b, so that e @ T, for the coefficients e of
+    an entry, is its regular representation: (s, t) holds coefficient t
+    of x^s * e."""
+    m = field.m
+    unit = np.eye(m, dtype=np.int64)
+    t = fold_reduce(field, np.einsum("ai,bj->abij", unit, unit))
+    t = t.reshape(m, m * m).astype(np.float64)
+    t.flags.writeable = False  # shared by every caller with an equal field
+    return t
+
+
 def matmul(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    conv = np.einsum("ika,kjb->ijab", a, b)
-    return fold_reduce(field, conv)
+    """a @ b through the regular representation of a's entries: row
+    (i, k, s) holds x^s * a[i, k], so summing it against coefficient s of
+    b[k, j] over (k, s) gives entry (i, j).  The representation stays
+    unreduced; the product is reduced once, at the end."""
+    p, m = field.p, field.m
+    n, k = a.shape[0], a.shape[1]
+    areg, bound = _product(p, a.reshape(-1, m), _tensor(field), p - 1, p - 1, reduce=False)
+    bt = b.transpose(1, 0, 2).reshape(b.shape[1], k * m)
+    return _product(p, bt, areg.reshape(n, k * m, m), p - 1, bound)[0]
+
+
+def regular(field: FiniteField, b: np.ndarray) -> np.ndarray:
+    """Right multiplication by the (k, j, m) array b as one (k*m, j*m)
+    matrix over F_p: row (i, s), column (j, t) holds coefficient t of
+    x^s * b[i, j]."""
+    k, j, m = b.shape
+    reg = _product(field.p, b.reshape(-1, m), _tensor(field), field.p - 1, field.p - 1)[0]
+    return reg.reshape(k, j, m, m).transpose(0, 2, 1, 3).reshape(k * m, j * m)
+
+
+def mul_regular(field: FiniteField, x: np.ndarray, reg: np.ndarray) -> np.ndarray:
+    """x @ b for x of shape (..., k, m), given reg = regular(field, b)."""
+    m = field.m
+    out = _product(field.p, x.reshape(-1, reg.shape[0]), reg, field.p - 1, field.p - 1)[0]
+    return out.reshape(x.shape[:-2] + (reg.shape[1] // m, m))
 
 
 def sub(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -90,10 +177,11 @@ def scalar_of(field: FiniteField, arr: np.ndarray) -> int | None:
 
 def _clear(field: FiniteField, a: np.ndarray, r: int, c: int, rows: np.ndarray) -> None:
     """Subtract from each of rows its column-c multiple of the unit-pivot
-    row r, from column c rightwards (everything left of c is zero in r)."""
+    row r, from column c rightwards (everything left of c is zero in r):
+    the column entries times the pivot row's regular representation."""
     if rows.size:
-        prod = np.einsum("ka,cb->kcab", a[rows, c], a[r, c:])
-        a[rows, c:] = (a[rows, c:] - fold_reduce(field, prod)) % field.p
+        prod = mul_regular(field, a[rows, c:c + 1], regular(field, a[r:r + 1, c:]))
+        a[rows, c:] = (a[rows, c:] - prod) % field.p
 
 
 def _forward(field: FiniteField, a: np.ndarray) -> tuple[list[int], list[int], int]:
@@ -119,8 +207,8 @@ def _forward(field: FiniteField, a: np.ndarray) -> tuple[list[int], list[int], i
         val = int(coeffs_to_ints(field, a[r, c]))
         inv = field.inv(val)
         if inv != field.one:
-            inv_coeffs = np.array(field.coeffs(inv), dtype=np.int64)
-            a[r, c:] = fold_reduce(field, np.einsum("a,cb->cab", inv_coeffs, a[r, c:]))
+            inv_reg = regular(field, np.array(field.coeffs(inv), dtype=np.int64).reshape(1, 1, -1))
+            a[r, c:] = mul_regular(field, a[r, c:, None], inv_reg)[:, 0]
         _clear(field, a, r, c, r + 1 + np.flatnonzero(a[r + 1:, c].any(axis=1)))
         pivots.append(c)
         values.append(val)

@@ -319,9 +319,25 @@ class FiniteField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
+        p = self.p
         if self.m == 1:
-            return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
+            return pow(a, p - 2, p)
+        # extended Euclid in F_p[x], keeping r_i = s_i * a mod the modulus;
+        # the modulus is irreducible, so the remainders end in a constant
+        r0, r1 = list(self.modulus), _trim(self.coeffs(a))
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            lead_inv = pow(r1[-1], p - 2, p)
+            while len(r0) >= len(r1):
+                term = [0] * (len(r0) - len(r1)) + [r0[-1] * lead_inv % p]
+                r0 = _psub(r0, _pmul(term, r1, p), p)
+                s0 = _psub(s0, _pmul(term, s1, p), p)
+            r0, r1, s0, s1 = r1, r0, s1, s0
+        c = pow(r1[0], p - 2, p)
+        out = 0
+        for x in reversed(s1):
+            out = out * p + x * c % p
+        return out
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

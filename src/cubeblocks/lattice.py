@@ -268,16 +268,30 @@ def _assemble_generic(brick, spec, profile, order) -> RingMatrix:
     return acc
 
 
-def _assemble_field(brick, spec, profile, order):
-    import numpy as np
-    field = brick.ring
-    acc = fieldmat.eye(field, profile.total)
-    bm = fieldmat.to_array(field, brick.matrix)
+def _disjoint_runs(brick, profile, order) -> list[list[int]]:
+    """Cut order greedily into runs of consecutive vertices whose affected
+    indices are pairwise disjoint, each run given by those indices.  The
+    embeddings of a run commute, so a run is one product; the vertices
+    of a layer of default_order share no line, so each layer is one run."""
+    runs, used = [], set()
     for v in order:
         idx = _affected(brick, profile, v)
-        cols = acc[:, idx, :]
-        conv = np.einsum("rka,kcb->rcab", cols, bm)
-        acc[:, idx, :] = fieldmat.fold_reduce(field, conv)
+        if not runs or used.intersection(idx):
+            runs.append([])
+            used = set()
+        runs[-1].extend(idx)
+        used.update(idx)
+    return runs
+
+
+def _assemble_field(brick, spec, profile, order):
+    field = brick.ring
+    n, k = profile.total, brick.matrix.rows
+    acc = fieldmat.eye(field, n)
+    reg = fieldmat.regular(field, fieldmat.to_array(field, brick.matrix))
+    for idx in _disjoint_runs(brick, profile, order):
+        cols = acc[:, idx, :].reshape(-1, k, field.m)
+        acc[:, idx, :] = fieldmat.mul_regular(field, cols, reg).reshape(n, len(idx), field.m)
     return acc
 
 

@@ -114,6 +114,27 @@ def test_reduce4d_entries_match_matrix_route(case, tag, capsys):
     assert rep["entries"] == want
 
 
+@pytest.mark.parametrize("case", ["Periodic4", "ZeroInput4"])
+def test_reduce4d_odd_p_reports_entries(case, capsys):
+    # the chain folds in every characteristic; only the nondegeneracy
+    # criterion is for characteristic 2, so it is left open
+    f3 = FiniteField(3)
+    rows = [[1, 2, 0, 1], [2, 1, 1, 0], [0, 1, 2, 2], [1, 1, 0, 0]]
+    brick = json.dumps({"d": 4, "thin_dims": [1, 1, 1, 1], "entries": rows,
+                        "field": f3.to_json()})
+    code, rep = _run_json(["reduce4d", "--brick", brick, "--case", case,
+                           "--n", "1", "--no-timestamp"], capsys)
+    assert code == 0 and rep["status"] == "verified"
+    assert rep["nondegenerate"] is None
+    assert "characteristic 2" in rep["nondegenerate_reason"]
+    # b44 = 0, so w = T and the entries are k_ij 1 + b_i4 b_4j T
+    t = dim4.shift_matrix(f3, 2, case)
+    want = [[matrix_to_json(RingMatrix.scalar(f3, 2, rows[i][j])
+                            + t.scalar_mul(f3.mul(rows[i][3], rows[3][j])))
+             for j in range(3)] for i in range(3)]
+    assert rep["entries"] == want
+
+
 def test_reduce4d_root_of_unity_is_degenerate(capsys):
     code, rep = _run_json(["reduce4d", "--brick", _brick4_json(b44=1),
                            "--case", "Periodic4", "--no-timestamp"], capsys)

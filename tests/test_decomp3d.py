@@ -108,6 +108,22 @@ def test_spectrum_sampled_p3():
     assert v.log2_failure_bound < 0
 
 
+def test_b3_bounds_use_each_claims_degree():
+    # scalar checks are quadratic in the block entries (degree 2p^3); the
+    # spectrum claim's largest test is a (p(p+1)/2 + 1)-minor of M - lam,
+    # M = R12 R23 R31 having degree 3p^3
+    from cubeblocks.identity import failure_bound_log2
+    scalar = D.verify_scalar_structure(3, trials=4, seed=5)
+    spectrum = D.verify_triple_product_spectrum(3, trials=4, seed=5)
+    assert scalar.details["degree_bound"] == 2 * 27
+    assert spectrum.details["degree_bound"] == (6 + 1) * 3 * 27
+    for v in (scalar, spectrum):
+        assert v.log2_failure_bound == failure_bound_log2(
+            v.details["degree_bound"], 3 ** 16, 4)
+    # the default 4 trials at p = 11 still bound failure below 2^-100
+    assert failure_bound_log2(D._b3_degrees(11)[1], 11 ** 16, 4) <= -100
+
+
 def test_b3_claims_share_one_assembly_per_trial(monkeypatch):
     calls = []
 

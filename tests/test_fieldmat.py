@@ -1,11 +1,17 @@
 """The coefficient-array kernels against generic paths that do not eliminate.
 
-Every finite-field elimination runs on the one fieldmat kernel, so the
+Products run as float64 or int64 matrix products over the regular
+representation, so they are checked against ``RingMatrix`` products with
+scalar ``FiniteField.mul``, on both sides of the 2^53 bound.  Every
+finite-field elimination runs on the one fieldmat kernel, so the
 elimination results are checked against independent ground truth: the
-Berkowitz characteristic polynomial (division-free) for determinants, a
-brute-force count of the row kernel for ranks, and the defining
-properties of the reduced row echelon form and of the inverse.
+Berkowitz characteristic polynomial (division-free) for determinants,
+a brute-force count of the row kernel and the nonzero minors for ranks,
+and the defining properties of the reduced row echelon form and of the
+inverse.
 """
+
+import itertools
 
 import random
 
@@ -13,12 +19,15 @@ import numpy as np
 import pytest
 
 from cubeblocks import fieldmat
-from cubeblocks.errors import SingularMatrixError
+from cubeblocks.cli import main
+from cubeblocks.errors import InputError, SingularMatrixError
 from cubeblocks.fields import FiniteField
 from cubeblocks.matrices import RingMatrix, charpoly, mat_det, mat_inverse, rank, rref
 from cubeblocks.pointmap import materialize_map
 
 PARAMS = [(2, 1), (2, 8), (3, 4), (7, 3), (5, 1)]
+# the fields of the sampled b3 checks are GF(p^16)
+WIDE = PARAMS + [(7, 16)]
 
 
 def _random(f, nr, nc, rng):
@@ -63,7 +72,78 @@ def test_matmul_matches_generic(p, m):
         assert fieldmat.from_array(f, got) == a @ b
 
 
-@pytest.mark.parametrize("p,m", PARAMS)
+@pytest.mark.parametrize("p,m,n", [(7, 16, 20), (11, 16, 20), (2, 8, 24)])
+def test_matmul_matches_generic_at_size(p, m, n):
+    f = FiniteField(p, m)
+    rng = random.Random(p * 61 + m)
+    a, b = _random(f, n, n + 1, rng), _random(f, n + 1, n - 1, rng)
+    got = fieldmat.matmul(f, fieldmat.to_array(f, a), fieldmat.to_array(f, b))
+    assert fieldmat.from_array(f, got) == a @ b
+
+
+@pytest.mark.parametrize("k", [20, 21])
+def test_matmul_at_float_int_boundary(k):
+    # over GF(76001), k (p-1)^3 < 2^53 at k = 20 (float64) but not at
+    # k = 21 (int64); entries near p - 1 keep the sums near the bound
+    p = 76001
+    assert (20 * (p - 1) ** 3 < 2 ** 53 <= 21 * (p - 1) ** 3)
+    f = FiniteField(p)
+    rng = random.Random(k)
+    big = lambda nr, nc: RingMatrix(f, nr, nc, [p - 1 - rng.randrange(3)
+                                                for _ in range(nr * nc)])
+    a, b = big(20, k), big(k, 20)
+    got = fieldmat.matmul(f, fieldmat.to_array(f, a), fieldmat.to_array(f, b))
+    assert fieldmat.from_array(f, got) == a @ b
+
+
+@pytest.mark.parametrize("k,dtype", [(9007, np.float64), (9009, np.int64)])
+def test_product_switches_to_int64_at_2_53(k, dtype):
+    # k (p-2)^2 is odd and above 2^53 at k = 9009, where float64 would
+    # round it; at 9007 the bound k (p-1)^2 is still below 2^53
+    p = 1000003
+    x = np.full((2, k), p - 2, dtype=np.int64)
+    y = np.full((k, 3), p - 2, dtype=np.int64)
+    raw, _ = fieldmat._product(p, x, y, p - 1, p - 1, reduce=False)
+    assert raw.dtype == dtype
+    got, bound = fieldmat._product(p, x, y, p - 1, p - 1)
+    assert bound == p - 1 and got.dtype == np.int64
+    assert (got == k * (p - 2) ** 2 % p).all()
+
+
+def test_products_past_int64_are_refused():
+    # (p-1)^2 >= 2^63: no exact product exists, so the CLI exits 2
+    f = FiniteField(4294967311)
+    rng = random.Random(3)
+    with pytest.raises(InputError):
+        mat_det(_random(f, 4, 4, rng))
+    brick = ('{"d": 3, "thin_dims": [1, 1, 1], "entries": [[1, 2, 3], [4, 5, 6], '
+             '[7, 8, 4294967310]], "field": {"p": 4294967311, "m": 1, "modulus": [0, 1]}}')
+    assert main(["census", "--brick", brick, "--no-timestamp"]) == 2
+
+
+def test_elements_beyond_int64_stay_exact():
+    # GF(1000003^4) has about 2^80 elements, so their int encodings do
+    # not fit in int64 on the way into or out of the arrays
+    f = FiniteField(1000003, 4, (1, 1, 0, 0, 1))
+    rng = random.Random(7)
+    a, b = _random(f, 3, 4, rng), _random(f, 4, 3, rng)
+    assert max(a.data) >= 2 ** 63
+    got = fieldmat.matmul(f, fieldmat.to_array(f, a), fieldmat.to_array(f, b))
+    assert fieldmat.from_array(f, got) == a @ b
+    sq = a @ b
+    assert mat_det(sq) == f.neg(charpoly(sq)[0])
+
+
+def test_det_in_int64_range_matches_charpoly():
+    # over GF(1000003) float64 is not exact but int64 is
+    f = FiniteField(1000003)
+    rng = random.Random(5)
+    for _ in range(20):
+        mat = _random(f, 4, 4, rng)
+        assert mat_det(mat) == charpoly(mat)[0]
+
+
+@pytest.mark.parametrize("p,m", WIDE)
 def test_det_matches_charpoly_constant(p, m):
     f = FiniteField(p, m)
     rng = random.Random(p * 41 + m)
@@ -93,6 +173,25 @@ def test_rank_matches_brute_force_kernel(p, m):
         sq.set_block(0, 0, mat)
         kernel_points = materialize_map(sq).table.count(0)
         assert kernel_points == f.q ** (n - rank(mat))
+
+
+def _minor_rank(mat):
+    """The largest r with a nonzero r x r minor, each minor taken as the
+    Berkowitz charpoly constant (no division, no elimination)."""
+    for r in range(min(mat.rows, mat.cols), 0, -1):
+        for rows in itertools.combinations(range(mat.rows), r):
+            for cols in itertools.combinations(range(mat.cols), r):
+                if charpoly(mat.submatrix(rows, cols))[0] != mat.ring.zero:
+                    return r
+    return 0
+
+
+@pytest.mark.parametrize("p,m", WIDE)
+def test_rank_matches_nonzero_minors(p, m):
+    f = FiniteField(p, m)
+    rng = random.Random(p * 67 + m)
+    for mat in _shapes(f, rng, 4):
+        assert rank(mat) == _minor_rank(mat)
 
 
 @pytest.mark.parametrize("p,m", PARAMS)
@@ -148,3 +247,21 @@ def test_sub_matches_generic(p, m):
     a, b = _random(f, 3, 4, rng), _random(f, 3, 4, rng)
     got = fieldmat.sub(f, fieldmat.to_array(f, a), fieldmat.to_array(f, b))
     assert fieldmat.from_array(f, got) == a - b
+
+
+@pytest.mark.parametrize("p,m", [(2, 12), (3, 7), (7, 4), (13, 3), (61, 2), (4093, 1)])
+def test_inverse_exhaustive(p, m):
+    f = FiniteField(p, m)
+    assert f.q <= 2 ** 12
+    for a in range(1, f.q):
+        assert f.inv(a) == f.pow(a, f.q - 2)
+
+
+@pytest.mark.parametrize("p,m", [(7, 16), (11, 16), (2, 16)])
+def test_inverse_sampled(p, m):
+    f = FiniteField(p, m)
+    rng = random.Random(p * 71 + m)
+    for _ in range(200):
+        a = f.sample_nonzero(rng)
+        inv = f.inv(a)
+        assert inv == f.pow(a, f.q - 2) and f.mul(a, inv) == f.one

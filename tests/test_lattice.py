@@ -137,6 +137,27 @@ def test_field_and_generic_paths_agree():
         assert fast == slow
 
 
+@pytest.mark.parametrize("p,m,d,l,thin", [
+    (7, 3, 3, 3, (1, 1, 1)), (2, 8, 3, 3, (1, 1, 1)), (3, 2, 3, 2, (2, 1, 1)),
+    (5, 1, 3, 3, (1, 2, 1)), (2, 4, 2, 4, (2, 3))])
+def test_batched_assembly_matches_generic(p, m, d, l, thin):
+    # each run of vertices with disjoint affected indices is one product;
+    # the generic path applies one vertex at a time, in the same order
+    from cubeblocks import fieldmat
+    from cubeblocks.lattice import _assemble_field, _assemble_generic, _disjoint_runs
+    field = FiniteField(p, m)
+    rng = random.Random(p * 100 + m * 10 + d)
+    brick = BrickSpec.random(field, d, thin, rng)
+    spec = LatticeSpec(d, l=l, thin_dims=thin)
+    prof = ThickProfile(spec)
+    # the layers of the default order are its runs: d(l-1)+1 products
+    assert len(_disjoint_runs(brick, prof, default_order(spec))) == d * (l - 1) + 1
+    orders = [default_order(spec)] + [random_linear_extension(spec, rng) for _ in range(4)]
+    for order in orders:
+        fast = fieldmat.from_array(field, _assemble_field(brick, spec, prof, order))
+        assert fast == _assemble_generic(brick, spec, prof, order)
+
+
 def test_evolve_dimensions():
     rng = random.Random(15)
     brick = BrickSpec.random(F2, 2, (1, 1), rng)
