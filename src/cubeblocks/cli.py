@@ -14,7 +14,7 @@ from .fields import FiniteField
 from .lattice import BrickSpec, LatticeSpec, assemble_block, evolve
 from .matrices import RingMatrix
 from .census import BoundaryConditions, census_report
-from .pointmap import brute_force_census
+from .pointmap import CENSUS_GUARD, brute_force_census, check_points, points_above
 from . import decomp3d
 from . import dim4
 from .serialize import matrix_to_json
@@ -298,16 +298,20 @@ def cmd_census(args) -> int:
               for ax in range(spec.d))
     _check_caps(dim, args)
     bcs = _parse_bcs(args.bcs, brick.d)
+    if args.oracle:
+        # refuse an oversized enumeration before assembling anything
+        q = brick.ring.q
+        if args.cap_points is not None:
+            points = points_above(q, dim, args.cap_points)
+            if points is not None:
+                raise ResourceLimitError(
+                    f"{points} points exceeds --cap-points {args.cap_points}")
+        check_points(q, dim, CENSUS_GUARD)
     blk, profile = assemble_block(brick, spec)
     report = _report_skeleton(args, "census")
     report["lattice"] = spec.to_json()
     report["census"] = census_report(blk, profile, bcs)
     if args.oracle:
-        q = brick.ring.q
-        points = q ** blk.rows
-        if args.cap_points is not None and points > args.cap_points:
-            raise ResourceLimitError(
-                f"{points} points exceeds --cap-points {args.cap_points}")
         oracle = brute_force_census(blk, profile, bcs)
         agree = oracle.e == report["census"]["exponent"]
         report["census"]["oracle_checked"] = True

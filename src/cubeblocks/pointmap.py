@@ -1,66 +1,125 @@
-"""Permutation-type operators as maps on finite point sets.
+"""Brute-force enumeration of the map x -> x R on the q^N points of GF(q)^N.
 
-A matrix over GF(q) acting on row vectors of length N induces a map on
-the q^N points of the vector space.  Points are indexed little-endian in
-base q by slot: index = sum x_slot * q^slot.  These maps are the
-combinatorial ground truth that the linear-algebra counting is checked
-against.
+Points are indexed little-endian in base q by slot: index = sum x_k q^k,
+each digit x_k an int-encoded field element.  Both `materialize_map` and
+`brute_force_census` run on one image-table builder that works digit by
+digit: with the table known on the first q^k points, the next digit
+fills the rest by
+
+    table[c q^k + i] = table[i] + c row_k        (c = 1 .. q-1),
+
+where row_k is row k of R.  For q = 2 the rows are uint64 bit-rows from
+`gf2.pack_rows` and the sum is XOR; otherwise a table row holds the
+base-p coefficient digits of every selected column, shape (cols, m), and
+the sum is digit-wise, reduced mod p once per chunk.  The low digits are
+built once into a table of at most CHUNK_ROWS points; each value of the
+remaining top digits adds one constant offset to it, so memory stays
+bounded whatever q^N is.  The census builds only the columns that a
+Periodic axis constrains; a ZeroInput axis reads input digits only.
+
+The enumeration is the ground truth that `census.count_configs` is
+checked against, so it shares nothing with the rank path: the only
+multiplications are the q N |cols| scalars c r[k, j], taken through
+`FiniteField.mul`; there is no elimination, no `fieldmat` and no
+multiplication tensor.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import InputError, ResourceLimitError
 from .fields import FiniteField
-from .matrices import RingMatrix, row_vec_mul
+from .matrices import RingMatrix
 from . import gf2
 
 MAP_GUARD = 1 << 20
 CENSUS_GUARD = 1 << 22
+# points per chunk of the enumeration (one digit's q points if q is larger)
+CHUNK_ROWS = 1 << 18
+# ints of up to this many bits print in decimal (Python allows 4300 digits)
+_PRINT_BITS = 14000
 
 
-def point_to_vector(field: FiniteField, idx: int, n: int) -> list[int]:
-    out = []
-    for _ in range(n):
-        out.append(idx % field.q)
-        idx //= field.q
-    return out
+def points_above(q: int, n: int, limit: int) -> str | None:
+    """q^n written out if it exceeds limit, else None.  A q^n too long to
+    print in decimal, and surely above the limit, is written as a power
+    and never formed."""
+    if n * q.bit_length() > _PRINT_BITS and n * (q.bit_length() - 1) > limit.bit_length():
+        return f"{q}^{n}"
+    total = q ** n
+    return str(total) if total > limit else None
 
 
-def vector_to_point(field: FiniteField, vec) -> int:
-    idx = 0
-    for x in reversed(list(vec)):
-        idx = idx * field.q + x
-    return idx
+def check_points(q: int, n: int, guard: int) -> None:
+    total = points_above(q, n, guard)
+    if total is not None:
+        raise ResourceLimitError(f"q^N = {total} exceeds the guard {guard}")
 
 
 class PointMap:
     """Image table of a map on q^N points."""
 
     def __init__(self, q: int, n: int, table: list[int]):
-        if len(table) != q ** n:
+        bound = q ** n
+        if len(table) != bound:
             raise InputError("image table length must be q^N")
-        if any(not 0 <= t < q ** n for t in table):
+        if min(table) < 0 or max(table) >= bound:
             raise InputError("image table entry out of range")
         self.q = q
         self.n = n
         self.table = table
 
-    def __call__(self, idx: int) -> int:
-        return self.table[idx]
 
-    def image_size(self) -> int:
-        return len(set(self.table))
+def _low_digits(q: int, n: int) -> int:
+    """Digits enumerated inside one chunk: q^low <= CHUNK_ROWS, at least one."""
+    low = 1
+    while q ** (low + 1) <= CHUNK_ROWS:
+        low += 1
+    return min(low, n)
 
-    def compose(self, other: "PointMap") -> "PointMap":
-        """self followed by other (matching x -> (x A) B)."""
-        if (self.q, self.n) != (other.q, other.n):
-            raise InputError("maps live on different point sets")
-        return PointMap(self.q, self.n, [other.table[t] for t in self.table])
 
-    def __eq__(self, other):
-        if not isinstance(other, PointMap):
-            return NotImplemented
-        return (self.q, self.n, self.table) == (other.q, other.n, other.table)
+def _bit_chunks(r: RingMatrix, mask: int):
+    """(first index, image bits & mask) per chunk, over GF(2)."""
+    n = r.rows
+    rows = np.array(gf2.pack_rows(r), dtype=np.uint64) & np.uint64(mask)
+    low = _low_digits(2, n)
+    table = np.zeros(1 << low, dtype=np.uint64)
+    for k in range(low):
+        table[1 << k:2 << k] = table[:1 << k] ^ rows[k]
+    for top in range(1 << (n - low)):
+        offset = np.uint64(0)
+        for k in range(low, n):
+            if top >> (k - low) & 1:
+                offset ^= rows[k]
+        yield top << low, table ^ offset
+
+
+def _digit_chunks(r: RingMatrix, cols: list[int]):
+    """(first index, image digits) per chunk, over GF(p^m) with q > 2: the
+    digits have shape (points, len(cols), m), coefficient d of column
+    cols[j] at [:, j, d]."""
+    field = r.ring
+    p, q, m, n = field.p, field.q, field.m, r.rows
+    # digit sums are reduced mod p once per chunk, so the dtype holds n of them
+    dtype = np.min_scalar_type(n * (p - 1))
+    scaled = np.array([[[field.mul(c, r[k, j]) for j in cols] for c in range(q)]
+                       for k in range(n)], dtype=np.int64).reshape(n, q, len(cols))
+    scaled = (scaled[..., None] // p ** np.arange(m) % p).astype(dtype)
+    low = _low_digits(q, n)
+    table = np.zeros((q ** low, len(cols), m), dtype=dtype)
+    for k in range(low):
+        block = q ** k
+        for c in range(1, q):
+            np.add(table[:block], scaled[k, c], out=table[c * block:(c + 1) * block])
+    for top in range(q ** (n - low)):
+        offset = sum(scaled[k, top // q ** (k - low) % q] for k in range(low, n))
+        yield top * q ** low, (table + offset) % p
+
+
+def _elements(digits: np.ndarray, p: int) -> np.ndarray:
+    """Int encodings of (..., m) coefficient digits."""
+    return digits.astype(np.int64) @ p ** np.arange(digits.shape[-1])
 
 
 def materialize_map(a: RingMatrix, guard: int = MAP_GUARD) -> PointMap:
@@ -70,85 +129,14 @@ def materialize_map(a: RingMatrix, guard: int = MAP_GUARD) -> PointMap:
     if a.rows != a.cols:
         raise InputError("point maps need a square matrix")
     n = a.rows
-    total = field.q ** n
-    if total > guard:
-        raise ResourceLimitError(f"q^N = {total} exceeds the guard {guard}")
+    check_points(field.q, n, guard)
     if field.q == 2:
-        rows = gf2.pack_rows(a)
-        table = [0] * total
-        for x in range(1, total):
-            low = (x & -x).bit_length() - 1
-            table[x] = table[x & (x - 1)] ^ rows[low]
-        return PointMap(2, n, table)
-    table = []
-    for idx in range(total):
-        vec = point_to_vector(field, idx, n)
-        table.append(vector_to_point(field, row_vec_mul(vec, a)))
-    return PointMap(field.q, n, table)
-
-
-def direct_sum_map(f: PointMap, g: PointMap) -> PointMap:
-    """Map of a direct sum: Cartesian product on the little-endian index
-    set, first summand in the low digits."""
-    if f.q != g.q:
-        raise InputError("maps live over different fields")
-    q, n1, n2 = f.q, f.n, g.n
-    block = q ** n1
-    table = []
-    for j in range(q ** n2):
-        gj = g.table[j] * block
-        for i in range(q ** n1):
-            table.append(f.table[i] + gj)
-    return PointMap(q, n1 + n2, table)
-
-
-def check_operator_laws(mats: list[RingMatrix], guard: int = MAP_GUARD):
-    """Identity -> identity map, product -> composition, direct sum ->
-    product map.  Returns (True, None) or (False, witness description)."""
-    if not mats:
-        raise InputError("need at least one matrix")
-    field = mats[0].ring
-    ident = RingMatrix.identity(field, mats[0].rows)
-    id_map = materialize_map(ident, guard)
-    if id_map.table != list(range(len(id_map.table))):
-        return False, {"law": "identity", "point": next(
-            i for i, t in enumerate(id_map.table) if t != i)}
-    for a in mats:
-        for b in mats:
-            if a.cols != b.rows or a.ring != b.ring:
-                continue
-            lhs = materialize_map(a @ b, guard)
-            rhs = materialize_map(a, guard).compose(materialize_map(b, guard))
-            if lhs != rhs:
-                bad = next(i for i in range(len(lhs.table))
-                           if lhs.table[i] != rhs.table[i])
-                return False, {"law": "product", "point": bad}
-            from .matrices import direct_sum
-            lhs = materialize_map(direct_sum([a, b]), guard)
-            rhs = direct_sum_map(materialize_map(a, guard), materialize_map(b, guard))
-            if lhs != rhs:
-                bad = next(i for i in range(len(lhs.table))
-                           if lhs.table[i] != rhs.table[i])
-                return False, {"law": "direct_sum", "point": bad}
-    return True, None
-
-
-# ----------------------------------------------------------------------
-# Brute-force configuration counting
-# ----------------------------------------------------------------------
-
-def _satisfies(bcs, profile, x: list[int], y: list[int]) -> bool:
-    for axis, tag in enumerate(bcs.tags):
-        rng_ = profile.block_profile.block_range(axis)
-        if tag == "Periodic":
-            if any(y[j] != x[j] for j in rng_):
-                return False
-        elif tag == "ZeroInput":
-            if any(x[j] for j in rng_):
-                return False
-        elif tag != "Free":
-            raise InputError(f"unknown boundary tag {tag!r}")
-    return True
+        parts = [y for _, y in _bit_chunks(a, (1 << n) - 1)]
+    else:
+        # point index = sum of digit [j, d] * p^(j m + d)
+        parts = [_elements(y.reshape(len(y), -1), field.p)
+                 for _, y in _digit_chunks(a, list(range(n)))]
+    return PointMap(field.q, n, np.concatenate(parts).tolist())
 
 
 def brute_force_census(r: RingMatrix, profile, bcs, guard: int = CENSUS_GUARD):
@@ -161,80 +149,43 @@ def brute_force_census(r: RingMatrix, profile, bcs, guard: int = CENSUS_GUARD):
     field = r.ring
     if not isinstance(field, FiniteField):
         raise InputError("census needs a finite field matrix")
-    n = r.rows
-    total = field.q ** n
-    if total > guard:
-        raise ResourceLimitError(f"q^N = {total} exceeds the guard {guard}")
+    q = field.q
+    check_points(q, r.rows, guard)
+    periodic, zero = [], []
+    for axis, tag in enumerate(bcs.tags):
+        slots = list(profile.block_profile.block_range(axis))
+        if tag == "Periodic":
+            periodic += slots
+        elif tag == "ZeroInput":
+            zero += slots
+        elif tag != "Free":
+            raise InputError(f"unknown boundary tag {tag!r}")
     count = 0
-    if field.q == 2:
-        rows = gf2.pack_rows(r)
-        masks = []
-        for axis, tag in enumerate(bcs.tags):
-            m = 0
-            for j in profile.block_profile.block_range(axis):
-                m |= 1 << j
-            masks.append(m)
-        # incremental image table: flipping one input bit XORs one row
-        ys = [0] * total
-        for x in range(1, total):
-            low = (x & -x).bit_length() - 1
-            ys[x] = ys[x & (x - 1)] ^ rows[low]
-        for x in range(total):
-            y = ys[x]
-            ok = True
-            for tag, m in zip(bcs.tags, masks):
-                if tag == "Periodic":
-                    if (x ^ y) & m:
-                        ok = False
-                        break
-                elif tag == "ZeroInput":
-                    if x & m:
-                        ok = False
-                        break
-            if ok:
-                count += 1
+    if q == 2:
+        pmask = np.uint64(sum(1 << j for j in periodic))
+        zmask = np.uint64(sum(1 << j for j in zero))
+        for start, y in _bit_chunks(r, pmask):
+            x = np.arange(start, start + len(y), dtype=np.uint64)
+            count += np.count_nonzero((((x & pmask) ^ y) | (x & zmask)) == 0)
     else:
-        for idx in range(total):
-            x = point_to_vector(field, idx, n)
-            y = row_vec_mul(x, r)
-            if _satisfies(bcs, profile, x, y):
-                count += 1
+        for start, y in _digit_chunks(r, periodic):
+            x = np.arange(start, start + len(y), dtype=np.int64)
+            ok = np.ones(len(y), dtype=bool)
+            for j in zero:
+                ok &= x // q ** j % q == 0
+            ys = _elements(y, field.p)
+            for c, j in enumerate(periodic):
+                ok &= ys[:, c] == x // q ** j % q
+            count += np.count_nonzero(ok)
     e = 0
     c = count
     while c > 1:
-        if c % field.q:
+        if c % q:
             raise RuntimeError(
-                f"census count {count} is not a power of q = {field.q}")
-        c //= field.q
+                f"census count {count} is not a power of q = {q}")
+        c //= q
         e += 1
     if count == 0:
         raise RuntimeError("census count is zero; constraints are linear, "
                            "the zero configuration always satisfies them")
-    return ConfigCount(field.p, field.q, e)
-
-
-def propagate_configuration(brick, spec, profile, order, x: list[int]) -> list[int]:
-    """Run the local dynamics: lines carry values, each vertex applies the
-    brick map to the values of the d lines through it, in assembly order.
-    The final line values must equal x @ R for the assembled block R."""
-    field = brick.ring
-    state = list(x)
-    off = brick.profile.offsets
-    d = spec.d
-    for v in order:
-        pos = [profile.position(i, v) for i in range(d)]
-        idx = []
-        for i in range(d):
-            idx.extend(pos[i] + s for s in range(spec.thin_dims[i]))
-        local = [state[g] for g in idx]
-        new = [field.zero] * len(local)
-        for a in range(len(local)):
-            if local[a] == field.zero:
-                continue
-            for b in range(len(local)):
-                coeff = brick.matrix[a, b]
-                if coeff != field.zero:
-                    new[b] = field.add(new[b], field.mul(local[a], coeff))
-        for g, val in zip(idx, new):
-            state[g] = val
-    return state
+    return ConfigCount(field.p, q, e)

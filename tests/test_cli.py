@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cubeblocks import dim4
+from cubeblocks import cli, dim4
 from cubeblocks.cli import main
 from cubeblocks.fields import FiniteField
 from cubeblocks.lattice import BrickSpec
@@ -192,6 +192,23 @@ def test_non_finite_json_number_is_exit_2(field, d, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--edge", "2", "--cap-points", "100"], "4096 points exceeds --cap-points 100"),
+    (["--edge", "3"], "q^N = 134217728 exceeds the guard 4194304"),
+    (["--edge", "100000"], "q^N = 2^30000000000 exceeds the guard 4194304")],
+    ids=["cap-points", "guard", "huge"])
+def test_oracle_caps_refuse_before_assembly(brick3_path, extra, message,
+                                            capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("assemble_block called")
+    monkeypatch.setattr(cli, "assemble_block", fail)
+    assert main(["census", "--brick", brick3_path, "--oracle", *extra,
+                 "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_missing_file_is_exit_2(capsys):

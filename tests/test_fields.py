@@ -1,9 +1,14 @@
+import json
 import random
+import time
 
 import pytest
 
+from cubeblocks.cli import main
 from cubeblocks.errors import InputError
-from cubeblocks.fields import FiniteField, build_extension_field, find_irreducible, sqrt_char2
+from cubeblocks.fields import (
+    FiniteField, build_extension_field, find_irreducible, is_prime, sqrt_char2,
+)
 
 
 # ----------------------------------------------------------------------
@@ -32,6 +37,47 @@ def test_find_irreducible_small():
 def test_bad_characteristic_rejected():
     with pytest.raises(InputError):
         FiniteField(4)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(20000) if is_prime(n)] \
+        == [n for n in range(20000) if trial(n)]
+    rng = random.Random(2)
+    for n in (rng.randrange(10 ** 6, 10 ** 9) for _ in range(200)):
+        assert is_prime(n) == trial(n)
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to every prime base up to 7, 23 and 37 in turn,
+    # and squares and products of large primes
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461,
+              (2 ** 31 - 1) ** 2, 1000003 * (2 ** 61 - 1)):
+        assert not is_prime(n)
+    for n in (2 ** 61 - 1, 2 ** 31 - 1, 1000003, 4294967311):
+        assert is_prime(n)
+
+
+def test_is_prime_refuses_undecided_range():
+    with pytest.raises(InputError):
+        is_prime(2 ** 89 - 1)
+
+
+def test_large_prime_field_answers_at_once():
+    t0 = time.perf_counter()
+    f = FiniteField(2 ** 61 - 1)
+    assert time.perf_counter() - t0 < 1.0
+    assert f.mul(f.inv(12345), 12345) == 1
+
+
+def test_census_over_large_prime_is_exit_2(capsys):
+    brick = {"d": 2, "thin_dims": [1, 1], "entries": [[1, 2], [3, 4]],
+             "field": {"p": 2 ** 61 - 1, "m": 1, "modulus": [0, 1]}}
+    assert main(["census", "--brick", json.dumps(brick), "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "Traceback" not in captured.err
 
 
 # ----------------------------------------------------------------------
