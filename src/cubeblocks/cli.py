@@ -131,7 +131,7 @@ def _parse_bcs(text: str, d: int) -> BoundaryConditions:
 
 
 def _check_caps(dim: int, args) -> None:
-    if args.cap_dim is not None and dim > args.cap_dim:
+    if dim > args.cap_dim:
         raise ResourceLimitError(
             f"block dimension {dim} exceeds --cap-dim {args.cap_dim}")
 
@@ -296,7 +296,6 @@ def cmd_census(args) -> int:
     spec = _lattice_for(brick, args.edge)
     dim = sum(spec.lines_per_axis(ax) * spec.thin_dims[ax]
               for ax in range(spec.d))
-    _check_caps(dim, args)
     bcs = _parse_bcs(args.bcs, brick.d)
     if args.oracle:
         # refuse an oversized enumeration before assembling anything
@@ -307,6 +306,7 @@ def cmd_census(args) -> int:
                 raise ResourceLimitError(
                     f"{points} points exceeds --cap-points {args.cap_points}")
         check_points(q, dim, CENSUS_GUARD)
+    _check_caps(dim, args)
     blk, profile = assemble_block(brick, spec)
     report = _report_skeleton(args, "census")
     report["lattice"] = spec.to_json()
@@ -328,8 +328,7 @@ def cmd_census(args) -> int:
 def cmd_evolve(args) -> int:
     brick = _load_brick(args.brick)
     field = brick.ring
-    stages = evolve(brick, args.steps, edge=2,
-                    cap=args.cap_dim or 4096)
+    stages = evolve(brick, args.steps, edge=2, cap=args.cap_dim)
     report = _report_skeleton(args, "evolve")
     report["steps"] = args.steps
     report["dimensions"] = [blk.rows for blk, _ in stages]
@@ -355,7 +354,7 @@ def cmd_evolve(args) -> int:
         if field.q > 2 * dim:
             verdict = decomp3d.detect_evolution_summands(
                 case, args.steps, seed=args.seed, field=field,
-                entries=entries)
+                entries=entries, block=stages[-1][0])
             report["detection"] = _from_verdict("summand-detection", verdict)
             if not verdict.ok:
                 report["status"] = "falsified"
@@ -374,7 +373,7 @@ def cmd_reduce4d(args) -> int:
         raise InputError("reduce4d expects a 4-axis brick with unit thin spaces")
     if args.n < 0:
         raise InputError(f"--n must be at least 0, got {args.n}")
-    cap = args.cap_dim or 4096
+    cap = args.cap_dim
     # compare exponents first, so that a huge n is never raised to a power
     if args.n > cap.bit_length() or 3 * 2 ** args.n > cap:
         raise ResourceLimitError(
@@ -426,8 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="random seed for sampled checks")
     common.add_argument("--out", help="write the report to this file")
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--cap-dim", type=int, default=None,
-                        help="refuse blocks larger than this dimension")
+    common.add_argument("--cap-dim", type=int, default=4096,
+                        help="refuse blocks larger than this dimension (default 4096)")
     common.add_argument("--cap-points", type=int, default=None,
                         help="refuse brute-force scans over more points")
     common.add_argument("--no-timestamp", action="store_true",

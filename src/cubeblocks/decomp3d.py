@@ -789,11 +789,20 @@ def evolution_census_closed_form(case: str, n: int) -> EvolutionCensus:
 
 def detect_evolution_summands(case: str, n: int, seed: int = 0,
                               m: int = 16, field: FiniteField | None = None,
-                              entries=None) -> Verdict:
-    """Confirm the predicted direct sum after n evolution steps at a
-    random specialization: det(R - x) must agree with the product of the
-    predicted summand determinants at more points than the polynomial
-    degree, which makes the comparison exact."""
+                              entries=None, block: RingMatrix | None = None) -> Verdict:
+    """Compare the block R after n evolution steps at a random
+    specialization with the predicted direct sum: det(R - x) must agree
+    with the product of the predicted summand determinants at more
+    points than the polynomial degree.
+
+    That makes the comparison exact, but what it proves is that R and
+    the predicted sum have equal characteristic polynomials, not that
+    they are similar: a Jordan block passes against the diagonal matrix
+    with the same characteristic polynomial.  R and each predicted piece
+    are reduced to Hessenberg form once, and their determinants are
+    evaluated at all points together.  block, when given, is R as the
+    caller already evolved it from entries; otherwise R is evolved
+    here."""
     if field is None:
         field = FiniteField(2, m)
     rng = random.Random(seed)
@@ -842,22 +851,25 @@ def detect_evolution_summands(case: str, n: int, seed: int = 0,
         brick = BrickSpec(3, (1, 1, 1), grid_matrix(field, a))
     else:
         raise InputError(f"unknown evolution case {case!r}")
-    from .lattice import evolve
-    steps = evolve(brick, n, 2)
-    blk = steps[-1][0]
+    if block is None:
+        from .lattice import evolve
+        block = evolve(brick, n, 2)[-1][0]
     total_dim = sum(p.rows * mult for p, mult in pieces)
-    if blk.rows != total_dim:
+    if block.rows != total_dim:
         return Verdict(False, witness={"failed": "dimension",
-                                       "block": blk.rows, "predicted": total_dim})
-    degree = blk.rows
+                                       "block": block.rows, "predicted": total_dim})
+    degree = block.rows
     points = rng.sample(range(field.q), degree + 1)
-    for x in points:
-        lhs = mat_det(blk - RingMatrix.scalar(field, blk.rows, x))
-        rhs = field.one
-        for piece, mult in pieces:
-            dx = mat_det(piece - RingMatrix.scalar(field, piece.rows, x))
-            rhs = field.mul(rhs, field.pow(dx, mult))
-        if lhs != rhs:
+
+    def dets(mat):
+        h = fieldmat.hessenberg(field, fieldmat.to_array(field, mat))
+        return fieldmat.det_shifted(field, h, points)
+
+    rhs = [field.one] * len(points)
+    for piece, mult in pieces:
+        rhs = [field.mul(r, field.pow(d, mult)) for r, d in zip(rhs, dets(piece))]
+    for x, lhs, r in zip(points, dets(block), rhs):
+        if lhs != r:
             return Verdict(False, witness={"failed": "determinant", "x": x})
     return Verdict(True, details={
         "case": case, "n": n, "points": degree + 1,

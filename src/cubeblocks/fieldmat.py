@@ -4,7 +4,12 @@ A matrix is an int64 ndarray of shape (rows, cols, m) holding the
 polynomial-basis coefficients of each entry, reduced mod p.  Every
 Gaussian elimination over a finite field in the package runs here, on
 one forward-elimination kernel: ``rank``, ``det`` and ``rref`` build on
-it, and ``matrices`` routes its field routines through them.
+it, and ``matrices`` routes its field routines through them.  The one
+similarity reduction is ``hessenberg``, to upper Hessenberg form; on
+that form ``det_shifted`` evaluates det(H - x) at many points at once by
+the division-free recurrence in the leading principal minors, so a
+characteristic polynomial is sampled at n + 1 points for the cost of one
+reduction instead of n + 1 eliminations.
 
 Products go through the regular representation.  The multiplication
 tensor T[a, b] = x^a * x^b mod f is built once per field by
@@ -14,7 +19,8 @@ then acts as the m x m matrix over F_p whose row s holds x^s * e.  So
 one matrix product over the integers followed by one reduction mod p.
 That product runs as float64 BLAS, which is exact integer arithmetic
 while every partial sum stays below 2^53; past that bound it runs in
-int64 on reduced operands, exact below 2^63, and past that it raises
+int64 on reduced operands, summing as many terms at a time as stay below
+2^63; where a single product (p-1)^2 reaches 2^63 it raises
 ``InputError``.  The choice follows from the shapes and from p alone.
 """
 
@@ -86,10 +92,12 @@ def _product(p: int, x: np.ndarray, y: np.ndarray, xmax: int, ymax: int,
     integers at most xmax and ymax, and a bound on the entries returned.
 
     Float64 BLAS is exact while the sum of k terms is below 2^53.  Past
-    that the operands are reduced mod p and multiplied in int64, exact
-    below 2^63; past that the product cannot be formed exactly.  The
-    result is reduced mod p (int64) unless reduce is false and float64
-    was exact, in which case it is the unreduced float64 product."""
+    that the operands are reduced mod p and multiplied in int64, in
+    slices of the k terms whose sums stay below 2^63, each reduced mod p
+    before the next is added; a single product (p-1)^2 of 2^63 or more
+    cannot be formed exactly.  The result is reduced mod p (int64)
+    unless reduce is false and float64 was exact, in which case it is
+    the unreduced float64 product."""
     k = x.shape[-1]
     bound = k * xmax * ymax
     if bound < _FLOAT_EXACT:
@@ -98,12 +106,16 @@ def _product(p: int, x: np.ndarray, y: np.ndarray, xmax: int, ymax: int,
             return out, bound
         out = out.astype(np.int64)
         return np.remainder(out, p, out=out), p - 1
-    if k * (p - 1) ** 2 >= _INT_EXACT:
-        raise InputError(
-            f"F_{p} is too large for exact int64 products of {k} terms")
+    step = (_INT_EXACT - 1) // (p - 1) ** 2
+    if step == 0:
+        raise InputError(f"F_{p} is too large for exact int64 products")
     xr = np.asarray(x, dtype=np.int64) % p
     yr = np.asarray(y, dtype=np.int64) % p
-    return np.matmul(xr, yr) % p, p - 1
+    out = np.matmul(xr[..., :step], yr[..., :step, :]) % p
+    for s in range(step, k, step):
+        out += np.matmul(xr[..., s:s + step], yr[..., s:s + step, :]) % p
+        out %= p
+    return out, p - 1
 
 
 @functools.lru_cache(maxsize=8)
@@ -175,6 +187,11 @@ def scalar_of(field: FiniteField, arr: np.ndarray) -> int | None:
     return int(coeffs_to_ints(field, c))
 
 
+def _scalar_regular(field: FiniteField, v: int) -> np.ndarray:
+    """The regular representation of the field element v."""
+    return regular(field, np.array(field.coeffs(v), dtype=np.int64).reshape(1, 1, -1))
+
+
 def _clear(field: FiniteField, a: np.ndarray, r: int, c: int, rows: np.ndarray) -> None:
     """Subtract from each of rows its column-c multiple of the unit-pivot
     row r, from column c rightwards (everything left of c is zero in r):
@@ -207,8 +224,7 @@ def _forward(field: FiniteField, a: np.ndarray) -> tuple[list[int], list[int], i
         val = int(coeffs_to_ints(field, a[r, c]))
         inv = field.inv(val)
         if inv != field.one:
-            inv_reg = regular(field, np.array(field.coeffs(inv), dtype=np.int64).reshape(1, 1, -1))
-            a[r, c:] = mul_regular(field, a[r, c:, None], inv_reg)[:, 0]
+            a[r, c:] = mul_regular(field, a[r, c:, None], _scalar_regular(field, inv))[:, 0]
         _clear(field, a, r, c, r + 1 + np.flatnonzero(a[r + 1:, c].any(axis=1)))
         pivots.append(c)
         values.append(val)
@@ -230,6 +246,74 @@ def det(field: FiniteField, a: np.ndarray) -> int:
     for v in values:
         out = field.mul(out, v)
     return out
+
+
+def _mul_entries(field: FiniteField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y entry by entry, for coefficient arrays of one shape (..., m):
+    each entry of x times the regular representation of its partner."""
+    p, m = field.p, field.m
+    yreg = _product(p, y.reshape(-1, m), _tensor(field), p - 1, p - 1)[0]
+    out = _product(p, x.reshape(-1, 1, m), yreg.reshape(-1, m, m), p - 1, p - 1)[0]
+    return out.reshape(x.shape)
+
+
+def hessenberg(field: FiniteField, a: np.ndarray) -> np.ndarray:
+    """An upper Hessenberg array similar to the square array a (a new
+    array).  For each column c, the first row from c + 1 down with a
+    nonzero entry in c is swapped into row c + 1, with the matching
+    column swap; one rank-1 row update then clears the column below that
+    pivot, and one column update applies the inverse operation on the
+    right.  One field inverse per column."""
+    p = field.p
+    h = a % p
+    n = h.shape[0]
+    for c in range(n - 2):
+        nz = np.flatnonzero(h[c + 1:, c].any(axis=1))
+        if nz.size == 0:
+            continue
+        piv = c + 1 + int(nz[0])
+        if piv != c + 1:
+            h[[c + 1, piv]] = h[[piv, c + 1]]
+            h[:, [c + 1, piv]] = h[:, [piv, c + 1]]
+        if not h[c + 2:, c].any():
+            continue
+        inv = field.inv(int(coeffs_to_ints(field, h[c + 1, c])))
+        t = mul_regular(field, h[c + 2:, c, None], _scalar_regular(field, inv))
+        # rows c+2.. minus t times row c+1, then column c+1 plus the
+        # columns c+2.. times t: G h G^-1 with G = 1 - t e_{c+1}^T
+        h[c + 2:, c:] -= mul_regular(field, t, regular(field, h[c + 1:c + 2, c:]))
+        h[c + 2:, c:] %= p
+        h[:, c + 1] += mul_regular(field, h[:, c + 2:], regular(field, t))[:, 0]
+        h[:, c + 1] %= p
+    return h
+
+
+def det_shifted(field: FiniteField, h: np.ndarray, points: list[int]) -> list[int]:
+    """det(h - x) at each x of points, for an upper Hessenberg array h.
+
+    The leading principal minors q_k = det(h[:k, :k] - x) follow the
+    division-free recurrence
+        q_{k+1} = (h_kk - x) q_k + sum_{i<k} (-1)^(k-i) h_ik s_ik q_i,
+    where s_ik is the product of the subdiagonal entries h_{j,j-1} for
+    i < j <= k.  All points advance together: per k, one matmul of the
+    coefficient row against the table of q_i and no inverse."""
+    p, m, n = field.p, field.m, h.shape[0]
+    xs = ints_to_coeffs(field, np.array(points, dtype=_int_dtype(field)))
+    q = np.zeros((n + 1, len(points), m), dtype=np.int64)
+    q[0, :, 0] = 1
+    s = np.zeros((0, m), dtype=np.int64)
+    for k in range(n):
+        q[k + 1] = _mul_entries(field, (h[k, k] - xs) % p, q[k])
+        if k == 0:
+            continue
+        s = np.concatenate([s, eye(field, 1)[0]])
+        s = mul_regular(field, s[:, None], regular(field, h[k:k + 1, k - 1:k]))[:, 0]
+        coef = _mul_entries(field, h[:k, k], s)
+        odd = (k - np.arange(k)) % 2 == 1
+        coef[odd] = (-coef[odd]) % p
+        q[k + 1] += matmul(field, coef[None], q[:k])[0]
+        q[k + 1] %= p
+    return [int(v) for v in coeffs_to_ints(field, q[n])]
 
 
 def rref(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cubeblocks import cli, dim4
+from cubeblocks import cli, decomp3d, dim4, lattice
 from cubeblocks.cli import main
 from cubeblocks.fields import FiniteField
 from cubeblocks.lattice import BrickSpec
@@ -219,6 +219,64 @@ def test_missing_file_is_exit_2(capsys):
 def test_cap_dim_is_exit_2(brick3_path, capsys):
     assert main(["assemble", "--brick", brick3_path, "--edge", "4",
                  "--cap-dim", "10", "--no-timestamp"]) == 2
+
+
+@pytest.mark.parametrize("command", ["census", "assemble"])
+def test_default_cap_dim_refuses_before_assembly(command, brick3_path, capsys,
+                                                 monkeypatch):
+    # edge 100000 gives a block of dimension 3 * 10^10; without --cap-dim
+    # the default of 4096 must refuse it before anything is assembled
+    def fail(*args, **kwargs):
+        raise AssertionError("assemble_block called")
+    monkeypatch.setattr(lattice, "assemble_block", fail)
+    monkeypatch.setattr(cli, "assemble_block", fail)
+    assert main([command, "--brick", brick3_path, "--edge", "100000",
+                 "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: block dimension 30000000000 exceeds "
+                            "--cap-dim 4096\n")
+
+
+def _case_brick(case, rng):
+    """A GF(2^8) brick whose evolve report names the given case."""
+    f = FiniteField(2, 8)
+    nz = lambda: f.sample_nonzero(rng)
+    if case == "2d":
+        return BrickSpec(2, (1, 1), RingMatrix.from_rows(f, [[nz(), nz()], [nz(), nz()]]))
+    if case == "3d-symmetric":
+        v = {k: nz() for k in ("11", "12", "13", "22", "23", "33")}
+        rows = [[v[f"{min(i, j)}{max(i, j)}"] for j in (1, 2, 3)] for i in (1, 2, 3)]
+    else:
+        rows = [[nz() for _ in range(3)] for _ in range(3)]
+    return BrickSpec(3, (1, 1, 1), RingMatrix.from_rows(f, rows))
+
+
+@pytest.mark.parametrize("case", ["2d", "3d-generic", "3d-symmetric"])
+def test_evolve_passes_detection_the_block_it_would_build(case, capsys, monkeypatch):
+    brick = _case_brick(case, random.Random(11))
+    calls = []
+    detect = decomp3d.detect_evolution_summands
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return detect(*args, **kwargs)
+    monkeypatch.setattr(decomp3d, "detect_evolution_summands", spy)
+    code, rep = _run_json(["evolve", "--brick", json.dumps(brick.to_json()),
+                           "--steps", "2", "--no-timestamp"], capsys)
+    assert code == 0 and rep["case"] == case and rep["detection"]["verdict"] == "verified"
+    (args, kwargs), = calls
+    passed = kwargs.pop("block")
+    built = []
+    evolve = lattice.evolve
+
+    def spy_evolve(*a, **k):
+        out = evolve(*a, **k)
+        built.append(out[-1][0])
+        return out
+    monkeypatch.setattr(lattice, "evolve", spy_evolve)
+    assert detect(*args, **kwargs) == detect(*args, **kwargs, block=passed)
+    assert len(built) == 1 and built[0] == passed
 
 
 def test_unknown_suite_rejected():

@@ -3,11 +3,11 @@ import random
 import pytest
 
 from cubeblocks import decomp3d as D
-from cubeblocks import fieldmat
+from cubeblocks import fieldmat, lattice, matrices
 from cubeblocks.errors import InputError
 from cubeblocks.fieldmat import scalar_of
 from cubeblocks.fields import FiniteField
-from cubeblocks.lattice import assemble_block
+from cubeblocks.lattice import BrickSpec, assemble_block, evolve
 from cubeblocks.matrices import RingMatrix, mat_det
 
 
@@ -245,3 +245,52 @@ def test_detection():
     assert D.detect_evolution_summands("2d", 2, seed=9).ok
     assert D.detect_evolution_summands("3d-generic", 1, seed=9).ok
     assert D.detect_evolution_summands("3d-symmetric", 1, seed=9).ok
+
+
+def test_detection_eliminates_no_matrix_per_point(monkeypatch):
+    # each block is reduced to Hessenberg form once; no determinant is
+    # taken by elimination at any evaluation point
+    def fail(*args):
+        raise AssertionError("elimination per point")
+    monkeypatch.setattr(D, "mat_det", fail)
+    monkeypatch.setattr(matrices, "mat_det", fail)
+    monkeypatch.setattr(fieldmat, "det", fail)
+    assert D.detect_evolution_summands("3d-generic", 2, seed=3).ok
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_detection_witness_matches_per_point_loop(seed, monkeypatch):
+    # A wrong prediction: the evolved block with one entry changed, at the
+    # same dimension.  Wrong summand counts would not do, since each
+    # predicted piece has the characteristic polynomial of another (a
+    # matrix and its transpose; the double summand and the simple one
+    # squared).  The witness must be the first failing point in the order
+    # of the sampled points, as a loop of one elimination per point finds.
+    field = FiniteField(2, 8)
+    rng = random.Random(seed)
+    while True:
+        a = [[field.sample_nonzero(rng) for _ in range(3)] for _ in range(3)]
+        if D.mixed_product_difference(field, a) != field.zero:
+            break
+    brick = BrickSpec(3, (1, 1, 1), RingMatrix.from_rows(field, a))
+    block = evolve(brick, 1, 2)[-1][0].copy()
+    block[0, 0] = field.add(block[0, 0], field.one)
+    monkeypatch.setattr(lattice, "evolve", lambda *args, **kwargs: [(block, None)])
+    verdict = D.detect_evolution_summands("3d-generic", 1, seed=seed,
+                                          field=field, entries=a)
+
+    tilde = RingMatrix.from_rows(field, [[field.pow(x, 2) for x in row] for row in a])
+    counts = D.evolution_census_closed_form("3d-generic", 1).counts
+    pieces = [(tilde, counts[0]), (tilde.transpose(), counts[1])]
+    expected = None
+    for x in random.Random(seed).sample(range(field.q), block.rows + 1):
+        lhs = mat_det(block - RingMatrix.scalar(field, block.rows, x))
+        rhs = field.one
+        for piece, mult in pieces:
+            d = mat_det(piece - RingMatrix.scalar(field, piece.rows, x))
+            rhs = field.mul(rhs, field.pow(d, mult))
+        if lhs != rhs:
+            expected = {"failed": "determinant", "x": x}
+            break
+    assert expected is not None
+    assert not verdict.ok and verdict.witness == expected

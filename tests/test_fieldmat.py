@@ -8,7 +8,8 @@ elimination results are checked against independent ground truth: the
 Berkowitz characteristic polynomial (division-free) for determinants,
 a brute-force count of the row kernel and the nonzero minors for ranks,
 and the defining properties of the reduced row echelon form and of the
-inverse.
+inverse.  The Hessenberg reduction and the batched det(H - x) are checked
+against Berkowitz and against one elimination per point.
 """
 
 import itertools
@@ -22,7 +23,8 @@ from cubeblocks import fieldmat
 from cubeblocks.cli import main
 from cubeblocks.errors import InputError, SingularMatrixError
 from cubeblocks.fields import FiniteField
-from cubeblocks.matrices import RingMatrix, charpoly, mat_det, mat_inverse, rank, rref
+from cubeblocks.matrices import (RingMatrix, charpoly, direct_sum, mat_det, mat_inverse,
+                                 rank, rref)
 from cubeblocks.pointmap import materialize_map
 
 PARAMS = [(2, 1), (2, 8), (3, 4), (7, 3), (5, 1)]
@@ -265,3 +267,93 @@ def test_inverse_sampled(p, m):
         a = f.sample_nonzero(rng)
         inv = f.inv(a)
         assert inv == f.pow(a, f.q - 2) and f.mul(a, inv) == f.one
+
+
+# GF(2^31 - 1): (p-1)^2 is above 2^53 but below 2^63, so every product
+# runs in int64, two terms per slice
+HESSENBERG_FIELDS = [(2, 8), (3, 4), (7, 1), (7, 16), (2 ** 31 - 1, 1)]
+
+
+def _permuted_triangular(f, n, rng):
+    """P U P^T for a random upper triangular U and permutation P: its
+    eigenvalues are the diagonal of U, its Krylov spaces are small
+    invariant subspaces, and the reduction must swap rows to find its
+    pivots.  Returns the matrix and its eigenvalues."""
+    diag = [f.sample(rng) for _ in range(n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    u = [[diag[i] if i == j else f.sample(rng) if i < j else f.zero
+          for j in range(n)] for i in range(n)]
+    rows = [[u[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    return RingMatrix.from_rows(f, rows), diag
+
+
+def _hessenberg_inputs(f, n, rng):
+    """(matrix, eigenvalues to evaluate at): dense, sparse, permuted
+    triangular, and a block-diagonal sum of a dense and a permuted
+    triangular block, whose Hessenberg form has a zero subdiagonal."""
+    if n < 2:
+        return [(_random(f, n, n, rng), [])]
+    tri, eig = _permuted_triangular(f, n, rng)
+    half, eig_half = _permuted_triangular(f, n - n // 2, rng)
+    blocks = direct_sum([_random(f, n // 2, n // 2, rng), half])
+    if n > 12:
+        return [(blocks, eig_half[:3])]
+    return [(_random(f, n, n, rng), []), (_sparse(f, n, n, rng), []),
+            (tri, eig[:3]), (blocks, eig_half[:3])]
+
+
+def _is_upper_hessenberg(h):
+    nonzero = h.any(axis=2)
+    return not np.tril(nonzero, -2).any()
+
+
+@pytest.mark.parametrize("p,m", HESSENBERG_FIELDS)
+@pytest.mark.parametrize("n", [0, 1, 2, 12, 48])
+def test_hessenberg_and_batched_det_match_generic(p, m, n):
+    f = FiniteField(p, m)
+    rng = random.Random(p * 73 + m * 7 + n)
+    for mat, eig in _hessenberg_inputs(f, n, rng):
+        a = fieldmat.to_array(f, mat)
+        h = fieldmat.hessenberg(f, a)
+        assert h.shape == a.shape and _is_upper_hessenberg(h)
+        assert np.array_equal(a, fieldmat.to_array(f, mat))  # input untouched
+        points = rng.sample(range(f.q), min(f.q, 6)) + eig
+        expect = [fieldmat.det(f, fieldmat.sub(f, a, fieldmat.scalar_matrix(f, n, x)))
+                  for x in points]
+        assert fieldmat.det_shifted(f, h, points) == expect
+        assert all(expect[-len(eig):][i] == f.zero for i in range(len(eig)))
+        if n <= 12 or m == 1:
+            assert charpoly(fieldmat.from_array(f, h)) == charpoly(mat)
+        else:
+            # Berkowitz at n = 48 over an extension field takes seconds to a
+            # minute in pure Python; compare det(h - x) by elimination instead
+            assert [fieldmat.det(f, fieldmat.sub(f, h, fieldmat.scalar_matrix(f, n, x)))
+                    for x in points] == expect
+
+
+def test_hessenberg_zero_subdiagonal_and_swaps():
+    # a block-diagonal input keeps a zero on the subdiagonal at the block
+    # boundary, and a zero at (1, 0) above a nonzero row forces a swap
+    f = FiniteField(7)
+    rows = [[1, 2, 0, 0], [0, 3, 0, 0], [0, 0, 4, 5], [0, 0, 6, 1]]
+    h = fieldmat.hessenberg(f, fieldmat.to_array(f, RingMatrix.from_rows(f, rows)))
+    assert fieldmat.from_array(f, h).to_rows() == rows
+    swap = RingMatrix.from_rows(f, [[1, 2, 3], [0, 4, 5], [6, 0, 1]])
+    h = fieldmat.hessenberg(f, fieldmat.to_array(f, swap))
+    assert _is_upper_hessenberg(h) and fieldmat.from_array(f, h)[1, 0] == 6
+    assert charpoly(fieldmat.from_array(f, h)) == charpoly(swap)
+    points = list(range(7))
+    assert fieldmat.det_shifted(f, h, points) == [
+        mat_det(swap - RingMatrix.scalar(f, 3, x)) for x in points]
+
+
+def test_int64_products_slice_long_sums():
+    # over GF(2^31 - 1) the sum of two products is below 2^63 but that of
+    # three is not, so a 48-term sum is taken two terms at a time
+    p = 2 ** 31 - 1
+    assert 2 * (p - 1) ** 2 < 2 ** 63 <= 3 * (p - 1) ** 2
+    x = np.full((2, 48), p - 1, dtype=np.int64)
+    y = np.full((48, 3), p - 1, dtype=np.int64)
+    got, bound = fieldmat._product(p, x, y, p - 1, p - 1)
+    assert bound == p - 1 and (got == 48 % p).all()
