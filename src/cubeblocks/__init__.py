@@ -7,12 +7,12 @@ permitted spin configurations under linear boundary conditions.
 
 __version__ = "1.0.0"
 
-from .fields import FiniteField, build_extension_field, sqrt_char2
+from .fields import FiniteField
 from .polys import MultiPoly, PolyRing
 from .matrices import RingMatrix, BlockProfile
 from .lattice import LatticeSpec, ThickProfile, BrickSpec, assemble_block, evolve
 from .census import BoundaryConditions, ConfigCount, count_configs
-from .pointmap import PointMap, materialize_map, brute_force_census
+from .pointmap import brute_force_census
 from .identity import Verdict, random_identity_check
 from .decomp3d import (
     RESOLVED_LINE_ORDERING,
@@ -23,22 +23,20 @@ from .decomp3d import (
     verify_scalar_structure,
     verify_triple_product_spectrum,
     verify_symmetric_decomposition,
-    symmetrize_brick,
     evolution_census_closed_form,
 )
 from .dim4 import Brick4, reduce_chain_4d, nondegeneracy_4d, verify_stratification
 
 __all__ = [
-    "FiniteField", "build_extension_field", "sqrt_char2",
+    "FiniteField",
     "MultiPoly", "PolyRing", "RingMatrix", "BlockProfile",
     "LatticeSpec", "ThickProfile", "BrickSpec", "assemble_block", "evolve",
     "BoundaryConditions", "ConfigCount", "count_configs",
-    "PointMap", "materialize_map", "brute_force_census",
+    "brute_force_census",
     "Verdict", "random_identity_check",
     "RESOLVED_LINE_ORDERING", "DecompositionReport", "EvolutionCensus",
     "verify_decomposition_2d", "verify_decomposition_3d",
     "verify_scalar_structure", "verify_triple_product_spectrum",
-    "verify_symmetric_decomposition", "symmetrize_brick",
-    "evolution_census_closed_form",
+    "verify_symmetric_decomposition", "evolution_census_closed_form",
     "Brick4", "reduce_chain_4d", "nondegeneracy_4d", "verify_stratification",
 ]

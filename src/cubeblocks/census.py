@@ -45,15 +45,6 @@ class ConfigCount:
     q: int
     e: int
 
-    def expand(self) -> int:
-        value = self.q ** self.e
-        if value >= 1 << 63:
-            raise InputError(f"q^e = {self.q}^{self.e} too large to expand")
-        return value
-
-    def to_json(self) -> dict:
-        return {"q": self.q, "exponent": self.e}
-
 
 def build_constraint_system(r: RingMatrix, profile, bcs: BoundaryConditions) -> RingMatrix:
     """Matrix C with one column per scalar constraint; x is permitted

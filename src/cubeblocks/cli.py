@@ -17,7 +17,6 @@ from .census import BoundaryConditions, census_report
 from .pointmap import CENSUS_GUARD, brute_force_census, check_points, points_above
 from . import decomp3d
 from . import dim4
-from .serialize import matrix_to_json
 
 EXIT_VERIFIED = 0
 EXIT_FALSIFIED = 1
@@ -96,6 +95,12 @@ def _from_decomp(name: str, report) -> dict:
     out = report.to_json()
     out["name"] = name
     return out
+
+
+def matrix_to_json(m: RingMatrix) -> dict:
+    """A matrix over a finite field as it appears in reports."""
+    return {"rows": m.rows, "cols": m.cols,
+            "ring": m.ring.to_json(), "entries": m.to_rows()}
 
 
 # ----------------------------------------------------------------------
@@ -279,9 +284,7 @@ def _lattice_for(brick: BrickSpec, edge: int) -> LatticeSpec:
 def cmd_assemble(args) -> int:
     brick = _load_brick(args.brick)
     spec = _lattice_for(brick, args.edge)
-    dim = sum(spec.lines_per_axis(ax) * spec.thin_dims[ax]
-              for ax in range(spec.d))
-    _check_caps(dim, args)
+    _check_caps(spec.dimension, args)
     blk, profile = assemble_block(brick, spec, ordering=args.ordering)
     report = _report_skeleton(args, "assemble")
     report["lattice"] = spec.to_json()
@@ -294,8 +297,7 @@ def cmd_assemble(args) -> int:
 def cmd_census(args) -> int:
     brick = _load_brick(args.brick)
     spec = _lattice_for(brick, args.edge)
-    dim = sum(spec.lines_per_axis(ax) * spec.thin_dims[ax]
-              for ax in range(spec.d))
+    dim = spec.dimension
     bcs = _parse_bcs(args.bcs, brick.d)
     if args.oracle:
         # refuse an oversized enumeration before assembling anything

@@ -13,14 +13,13 @@ making.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .errors import InputError
-from .fields import FiniteField, sqrt_char2
+from .fields import FiniteField
 from .identity import Verdict, failure_bound_log2
 from .lattice import LatticeSpec, BrickSpec, assemble_block
 from .matrices import RingMatrix, charpoly, mat_det, row_vec_mul
@@ -33,9 +32,10 @@ SYM_VARS = ("a11", "a12", "a13", "a22", "a23", "a33")
 # Slot order of the four lines inside each thick space of the 2x2x2 cube
 # that makes the printed eigenvector rows correct.  Resolved by searching
 # all per-axis permutations at a random specialization and confirmed
-# symbolically (see resolve_line_ordering and its regeneration test):
-# the lexicographic transverse-coordinate order needs no permutation, so
-# the basis rows are used as printed and reports only record this order.
+# symbolically (the search is resolve_line_ordering in tests/reference.py,
+# rerun by test_resolved_ordering_regenerates): the lexicographic
+# transverse-coordinate order needs no permutation, so the basis rows are
+# used as printed and reports only record this order.
 RESOLVED_LINE_ORDERING = ((0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 2, 3))
 
 
@@ -58,10 +58,6 @@ def symmetric_brick_ring() -> tuple[PolyRing, list[list[MultiPoly]]]:
 
 def grid_matrix(ring, grid) -> RingMatrix:
     return RingMatrix.from_rows(ring, grid)
-
-
-def matrix_grid(m: RingMatrix) -> list[list]:
-    return [[m[i, j] for j in range(3)] for i in range(3)]
 
 
 def thick_basis_rows(ring, a) -> tuple[list, list, list]:
@@ -317,71 +313,6 @@ def verify_decomposition_2d(mode: str = "symbolic", field: FiniteField | None = 
 
 
 # ----------------------------------------------------------------------
-# Line-ordering resolution
-# ----------------------------------------------------------------------
-
-def resolve_line_ordering(seed: int = 2026, m: int = 16):
-    """Recover the slot order of the four lines in each thick space by
-    requiring the printed basis rows to satisfy their defining
-    eigenvector and transfer relations at a random specialization.
-
-    The search factorizes: axis 1 from the triple-product eigenvector
-    conditions, then axes 2 and 3 from the single-block transfers."""
-    field = FiniteField(2, m)
-    rng = random.Random(seed)
-    while True:
-        a = [[field.sample_nonzero(rng) for _ in range(3)] for _ in range(3)]
-        if mixed_product_difference(field, a) != field.zero:
-            break
-    blk, prof = assemble_cube(field, a, 2)
-    bp = prof.block_profile
-    sub = lambda i, j: blk.submatrix(bp.block_range(i), bp.block_range(j))
-    m_op = sub(0, 1) @ sub(1, 2) @ sub(2, 0)
-    t1, t2, t3 = thick_basis_rows(field, a)
-    sq = lambda x: field.mul(x, x)
-    lam1 = sq(field.mul(field.mul(a[0][2], a[2][1]), a[1][0]))
-    lam2 = sq(field.mul(field.mul(a[0][1], a[1][2]), a[2][0]))
-
-    def permuted(row, sigma):
-        out = [field.zero] * 4
-        for k in range(4):
-            out[sigma[k]] = row[k]
-        return out
-
-    def scaled(row, c):
-        return [field.mul(c, x) for x in row]
-
-    def transfer_ok(rows_from, s_from, rows_to, s_to, block, coeff_f, coeff_e):
-        v = row_vec_mul(permuted(rows_from[0], s_from), block)
-        if v != scaled(permuted(rows_to[0], s_to), coeff_f):
-            return False
-        return all(
-            row_vec_mul(permuted(rows_from[k], s_from), block)
-            == scaled(permuted(rows_to[k], s_to), coeff_e)
-            for k in (1, 2, 3))
-
-    solutions = []
-    for s1 in itertools.permutations(range(4)):
-        f = permuted(t1[0], s1)
-        if row_vec_mul(f, m_op) != scaled(f, lam1):
-            continue
-        if not all(row_vec_mul(permuted(t1[k], s1), m_op)
-                   == scaled(permuted(t1[k], s1), lam2) for k in (1, 2, 3)):
-            continue
-        for s2 in itertools.permutations(range(4)):
-            if not transfer_ok(t1, s1, t2, s2, sub(0, 1),
-                               sq(a[1][0]), sq(a[0][1])):
-                continue
-            for s3 in itertools.permutations(range(4)):
-                if transfer_ok(t1, s1, t3, s3, sub(0, 2),
-                               sq(a[2][0]), sq(a[0][2])):
-                    solutions.append((s1, s2, s3))
-    if len(solutions) != 1:
-        raise RuntimeError(f"line-ordering search found {len(solutions)} solutions")
-    return solutions[0]
-
-
-# ----------------------------------------------------------------------
 # Scalar structure and triple-product spectrum for p in {2, 3, 5, 7, 11}
 # ----------------------------------------------------------------------
 
@@ -554,32 +485,6 @@ def verify_triple_product_spectrum(p: int, mode: str = "auto", trials: int = 32,
 # ----------------------------------------------------------------------
 # Symmetric (non-diagonalizable) case
 # ----------------------------------------------------------------------
-
-def symmetrize_brick(field: FiniteField, a: RingMatrix):
-    """Gauge (1, sqrt(a21/a12), sqrt(a31/a13)) making the brick symmetric;
-    requires the two triple products to agree and be nonzero."""
-    if field.p != 2:
-        raise InputError("symmetrization needs characteristic 2")
-    grid = matrix_grid(a)
-    pos = field.mul(field.mul(grid[0][1], grid[1][2]), grid[2][0])
-    neg = field.mul(field.mul(grid[0][2], grid[2][1]), grid[1][0])
-    if pos != neg:
-        raise InputError("triple products differ; brick is not symmetrizable")
-    if pos == field.zero:
-        raise InputError("triple products vanish; brick is not symmetrizable")
-    g = (field.one,
-         sqrt_char2(field, field.div(grid[1][0], grid[0][1])),
-         sqrt_char2(field, field.div(grid[2][0], grid[0][2])))
-    out = RingMatrix.zeros(field, 3, 3)
-    for i in range(3):
-        for j in range(3):
-            out[i, j] = field.mul(field.div(grid[i][j], g[i]), g[j])
-    for i in range(3):
-        for j in range(3):
-            if out[i, j] != out[j, i]:
-                raise RuntimeError("gauge failed to symmetrize the brick")
-    return g, out
-
 
 def symmetric_g_vectors(ring, a):
     """Printed distinguished vectors of the three thick spaces, in

@@ -128,23 +128,6 @@ def reduce_chain_4d(brick: Brick4, l: int, case: str) -> Reduced3D:
     return Reduced3D(alg, entries)
 
 
-def circulant_det_charp(field: FiniteField, first_row: list, size: int):
-    """Determinant of the circulant with the given first row: when the
-    size is a power of the characteristic, it is the size-th power of
-    the row sum; otherwise fall back to plain elimination."""
-    if len(first_row) != size:
-        raise InputError("first row length must equal the size")
-    s = size
-    while s % field.p == 0:
-        s //= field.p
-    if s != 1:
-        return mat_det(ShiftAlgebra(field, size, True).matrix(first_row))
-    total = field.zero
-    for x in first_row:
-        total = field.add(total, x)
-    return field.pow(total, size)
-
-
 def _row_sum_image(brick: Brick4, case: str):
     """Image of each reduced entry under the algebra homomorphism that
     kills the shift structure: the row sum for circulants (shift -> 1),

@@ -12,10 +12,9 @@ always yields the same field.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 
-from .errors import InputError, UnsupportedRingError
+from .errors import InputError
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -221,6 +220,8 @@ class FiniteField:
             cur = [c % p for c in nxt]
         self._red = red
         self._red_np = None
+        # the modulus as a bit pattern, for products in characteristic 2
+        self._modbits = sum(1 << i for i, c in enumerate(modulus) if c)
 
     # -- representation ------------------------------------------------
 
@@ -311,11 +312,7 @@ class FiniteField:
                 res ^= aa
             aa <<= 1
             b >>= 1
-        m = self.m
-        modbits = 0
-        for i, c in enumerate(self.modulus):
-            if c:
-                modbits |= 1 << i
+        m, modbits = self.m, self._modbits
         for t in range(res.bit_length() - 1, m - 1, -1):
             if res >> t & 1:
                 res ^= modbits << (t - m)
@@ -361,9 +358,6 @@ class FiniteField:
 
     # -- misc ----------------------------------------------------------
 
-    def elements(self):
-        return range(self.q)
-
     def sample(self, rng) -> int:
         return rng.randrange(self.q)
 
@@ -388,19 +382,5 @@ class FiniteField:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
 
     @classmethod
-    def from_json(cls, obj) -> "FiniteField":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
+    def from_json(cls, obj: dict) -> "FiniteField":
         return cls(int(obj["p"]), int(obj["m"]), tuple(obj["modulus"]))
-
-
-def build_extension_field(p: int, m: int) -> FiniteField:
-    """GF(p^m) with the deterministic lowest-encoding irreducible modulus."""
-    return FiniteField(p, m)
-
-
-def sqrt_char2(field: FiniteField, x: int) -> int:
-    """The unique square root in characteristic 2: x^(2^(m-1))."""
-    if field.p != 2:
-        raise UnsupportedRingError("square roots via Frobenius need characteristic 2")
-    return field.pow(x, 1 << (field.m - 1))

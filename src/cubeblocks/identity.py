@@ -37,7 +37,10 @@ DEFAULT_TRIALS = 32
 
 def failure_bound_log2(degree_bound: int, q: int, trials: int) -> float:
     """log2 of (degree_bound / q)^trials, the chance that a nonzero
-    polynomial of that degree vanishes at all sampled points."""
+    polynomial of that degree vanishes at all sampled points.  With no
+    trial nothing was tested, so there is no bound to give."""
+    if trials < 1:
+        raise InputError(f"need at least one trial, got {trials}")
     if degree_bound <= 0:
         return float("-inf")
     if degree_bound >= q:

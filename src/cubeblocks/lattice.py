@@ -1,4 +1,4 @@
-"""Cubic lattices, brick embeddings, block assembly, and evolution.
+"""Cubic lattices, block assembly, and evolution.
 
 A d-dimensional brick acts in a direct sum of d thin spaces.  Placing a
 copy at every integer point of a box and multiplying the copies in any
@@ -10,7 +10,6 @@ lattice line parallel to that axis).
 from __future__ import annotations
 
 import itertools
-import random
 
 from .errors import InputError, ResourceLimitError
 from .fields import FiniteField
@@ -42,12 +41,6 @@ class LatticeSpec:
         self.edges = edges
         self.thin_dims = thin_dims
 
-    @property
-    def l(self) -> int:
-        if len(set(self.edges)) != 1:
-            raise InputError("non-cubic lattice has no single edge length")
-        return self.edges[0]
-
     def vertices(self) -> list[tuple[int, ...]]:
         return [v for v in itertools.product(*(range(e) for e in self.edges))]
 
@@ -58,19 +51,14 @@ class LatticeSpec:
                 n *= e
         return n
 
+    @property
+    def dimension(self) -> int:
+        """Dimension of the block: one thin-space copy per line per axis."""
+        return sum(self.lines_per_axis(ax) * t for ax, t in enumerate(self.thin_dims))
+
     def to_json(self) -> dict:
         return {"d": self.d, "edges": list(self.edges),
                 "thin_dims": list(self.thin_dims)}
-
-    @classmethod
-    def from_json(cls, obj) -> "LatticeSpec":
-        if "edges" in obj:
-            edges = tuple(obj["edges"])
-            d = obj.get("d", len(edges))
-        else:
-            d, edges = obj["d"], None
-        thin = tuple(obj["thin_dims"]) if "thin_dims" in obj else None
-        return cls(d, l=obj.get("l"), edges=edges, thin_dims=thin)
 
     def __repr__(self):
         return f"LatticeSpec(d={self.d}, edges={self.edges}, thin_dims={self.thin_dims})"
@@ -134,16 +122,6 @@ class BrickSpec:
     def ring(self):
         return self.matrix.ring
 
-    def to_json(self) -> dict:
-        obj = {"d": self.d, "thin_dims": list(self.thin_dims)}
-        ring = self.matrix.ring
-        if isinstance(ring, FiniteField):
-            obj["field"] = ring.to_json()
-            obj["entries"] = self.matrix.to_rows()
-        else:
-            raise InputError("only bricks over finite fields serialize to JSON")
-        return obj
-
     @classmethod
     def from_json(cls, obj) -> "BrickSpec":
         field = FiniteField.from_json(obj["field"])
@@ -152,32 +130,6 @@ class BrickSpec:
             raise InputError(f"brick entries must be integers in [0, {field.q})")
         m = RingMatrix.from_rows(field, [list(row) for row in entries])
         return cls(int(obj["d"]), tuple(obj["thin_dims"]), m)
-
-    @classmethod
-    def random(cls, field: FiniteField, d: int, thin_dims, rng) -> "BrickSpec":
-        thin_dims = tuple(thin_dims)
-        n = sum(thin_dims)
-        m = RingMatrix(field, n, n, [field.sample(rng) for _ in range(n * n)])
-        return cls(d, thin_dims, m)
-
-
-def embed_brick_at(brick: BrickSpec, vertex: tuple[int, ...],
-                   profile: ThickProfile) -> RingMatrix:
-    spec = profile.spec
-    if brick.d != spec.d or brick.thin_dims != spec.thin_dims:
-        raise InputError("brick shape does not match the lattice")
-    if len(vertex) != spec.d or any(
-            not 0 <= x < e for x, e in zip(vertex, spec.edges)):
-        raise InputError(f"vertex {vertex} outside the box {spec.edges}")
-    out = RingMatrix.identity(brick.ring, profile.total)
-    pos = [profile.position(i, vertex) for i in range(spec.d)]
-    off = brick.profile.offsets
-    for i in range(spec.d):
-        for j in range(spec.d):
-            for s in range(spec.thin_dims[i]):
-                for t in range(spec.thin_dims[j]):
-                    out[pos[i] + s, pos[j] + t] = brick.matrix[off[i] + s, off[j] + t]
-    return out
 
 
 def default_order(spec: LatticeSpec) -> list[tuple[int, ...]]:
@@ -196,19 +148,6 @@ def check_linear_extension(spec: LatticeSpec, order) -> list[tuple[int, ...]]:
             x, y = order[b], order[a]
             if x != y and all(u <= w for u, w in zip(x, y)):
                 raise InputError(f"order violates the lattice partial order at {x} -> {y}")
-    return order
-
-
-def random_linear_extension(spec: LatticeSpec, rng: random.Random) -> list[tuple[int, ...]]:
-    remaining = set(spec.vertices())
-    order = []
-    while remaining:
-        minimal = [v for v in remaining
-                   if not any(w != v and all(a <= b for a, b in zip(w, v))
-                              for w in remaining)]
-        v = rng.choice(sorted(minimal))
-        order.append(v)
-        remaining.remove(v)
     return order
 
 
@@ -301,13 +240,18 @@ def evolve(brick: BrickSpec, steps: int, edge: int,
     step's thin spaces."""
     if steps < 1:
         raise InputError(f"need at least one step, got {steps}")
+    # each step multiplies the block dimension by the lines per axis, so
+    # the last block is the largest: refuse it before the first step,
+    # stopping at the first step past the cap
+    dim, lines = sum(brick.thin_dims), edge ** (brick.d - 1)
+    for step in range(1, steps + 1):
+        dim *= lines
+        if dim > cap:
+            raise ResourceLimitError(
+                f"block dimension {dim} at step {step} exceeds the cap {cap}")
     out = []
     current = brick
-    lines = edge ** (brick.d - 1)
     for _ in range(steps):
-        if max(current.thin_dims) * lines > cap:
-            raise ResourceLimitError(
-                f"thick dimension would exceed the cap {cap}")
         spec = LatticeSpec(current.d, edges=(edge,) * current.d,
                            thin_dims=current.thin_dims)
         block, profile = assemble_block(current, spec)

@@ -2,10 +2,9 @@
 
 All vectors in this package are rows and matrices act on them from the
 right: applying ``a`` then ``b`` to a row ``x`` is ``x @ (a @ b)``.
-The elimination routines (rref, rank, kernel, inverse, and the
-determinant over a field) need a ``FiniteField`` and run on the
-``fieldmat`` array kernel; products, the cofactor determinant and the
-Berkowitz characteristic polynomial work over any commutative ring.
+The elimination routines (rref, rank, inverse and the determinant) need
+a ``FiniteField`` and run on the ``fieldmat`` array kernel; products and
+the Berkowitz characteristic polynomial work over any commutative ring.
 """
 
 from __future__ import annotations
@@ -85,14 +84,6 @@ class RingMatrix:
             m.data[i * n + i] = c
         return m
 
-    @classmethod
-    def diagonal(cls, ring, entries) -> "RingMatrix":
-        entries = list(entries)
-        m = cls.zeros(ring, len(entries), len(entries))
-        for i, c in enumerate(entries):
-            m.data[i * len(entries) + i] = c
-        return m
-
     # -- access --------------------------------------------------------
 
     def __getitem__(self, key):
@@ -108,9 +99,6 @@ class RingMatrix:
 
     def to_rows(self) -> list:
         return [self.row(i) for i in range(self.rows)]
-
-    def copy(self) -> "RingMatrix":
-        return RingMatrix(self.ring, self.rows, self.cols, list(self.data))
 
     def submatrix(self, row_idx, col_idx) -> "RingMatrix":
         row_idx = list(row_idx)
@@ -171,19 +159,6 @@ class RingMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols) or self.ring != other.ring:
             raise InputError("shape or ring mismatch")
 
-    def is_scalar(self) -> bool:
-        """True when the matrix is c * identity for some ring element c."""
-        if self.rows != self.cols:
-            return False
-        c = self[0, 0]
-        zero = self.ring.zero
-        for i in range(self.rows):
-            for j in range(self.cols):
-                want = c if i == j else zero
-                if self[i, j] != want:
-                    return False
-        return True
-
 
 def mat_mul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     if a.cols != b.rows or a.ring != b.ring:
@@ -227,23 +202,6 @@ def row_vec_mul(x: list, a: RingMatrix) -> list:
     return acc
 
 
-def direct_sum(ms: list) -> RingMatrix:
-    if not ms:
-        raise InputError("direct sum of an empty list")
-    ring = ms[0].ring
-    rows = sum(m.rows for m in ms)
-    cols = sum(m.cols for m in ms)
-    out = RingMatrix.zeros(ring, rows, cols)
-    r = c = 0
-    for m in ms:
-        if m.ring != ring:
-            raise InputError("ring mismatch in direct sum")
-        out.set_block(r, c, m)
-        r += m.rows
-        c += m.cols
-    return out
-
-
 # ----------------------------------------------------------------------
 # Elimination (finite fields, through the fieldmat kernel)
 # ----------------------------------------------------------------------
@@ -266,28 +224,6 @@ def rank(m: RingMatrix) -> int:
     return fieldmat.rank(field, fieldmat.to_array(field, m))
 
 
-def row_kernel(m: RingMatrix) -> list[list]:
-    """Basis of {x : x @ m = 0}; the basis matrix is in RREF."""
-    ring = _finite_field(m, "row_kernel")
-    # right nullspace of m^T
-    red, pivots = rref(m.transpose())
-    n = m.rows
-    piv_set = set(pivots)
-    free = [j for j in range(n) if j not in piv_set]
-    basis = []
-    for f in free:
-        x = [ring.zero] * n
-        x[f] = ring.one
-        for r_i, pc in enumerate(pivots):
-            # pivot coordinate determined by free coordinates
-            x[pc] = ring.neg(red[r_i, f])
-        basis.append(x)
-    if not basis:
-        return []
-    normalized, _ = rref(RingMatrix.from_rows(ring, basis))
-    return normalized.to_rows()
-
-
 def mat_inverse(m: RingMatrix) -> RingMatrix:
     if m.rows != m.cols:
         raise InputError("inverse of a non-square matrix")
@@ -303,35 +239,11 @@ def mat_inverse(m: RingMatrix) -> RingMatrix:
 
 
 def mat_det(m: RingMatrix):
-    """Exact determinant: elimination over finite fields, cofactor
-    expansion over other commutative rings (small dimensions only)."""
+    """Exact determinant over a finite field."""
     if m.rows != m.cols:
         raise InputError("determinant of a non-square matrix")
-    ring = m.ring
-    n = m.rows
-    if isinstance(ring, FiniteField):
-        return fieldmat.det(ring, fieldmat.to_array(ring, m))
-    if n > 6:
-        raise UnsupportedRingError(
-            "cofactor determinant limited to dimension 6 over non-field rings")
-    return _det_cofactor(m, list(range(n)), list(range(n)))
-
-
-def _det_cofactor(m: RingMatrix, rows: list[int], cols: list[int]):
-    ring = m.ring
-    if len(rows) == 1:
-        return m[rows[0], cols[0]]
-    acc = ring.zero
-    r0 = rows[0]
-    rest = rows[1:]
-    for k, c in enumerate(cols):
-        v = m[r0, c]
-        if v == ring.zero:
-            continue
-        sub_cols = cols[:k] + cols[k + 1:]
-        term = ring.mul(v, _det_cofactor(m, rest, sub_cols))
-        acc = ring.add(acc, term) if k % 2 == 0 else ring.sub(acc, term)
-    return acc
+    field = _finite_field(m, "determinant")
+    return fieldmat.det(field, fieldmat.to_array(field, m))
 
 
 def charpoly(m: RingMatrix) -> list:
@@ -382,20 +294,3 @@ def _dot(ring, xs, ys):
     for x, y in zip(xs, ys):
         acc = ring.add(acc, ring.mul(x, y))
     return acc
-
-
-def gauge_conjugate(r: RingMatrix, profile: BlockProfile, gs: list[RingMatrix]) -> RingMatrix:
-    """Conjugate by the block-diagonal matrix built from gs: G^-1 r G."""
-    if profile is None:
-        profile = BlockProfile(tuple(g.rows for g in gs))
-    if tuple(g.rows for g in gs) != profile.sizes:
-        raise InputError("gauge block sizes do not match the profile")
-    if profile.total != r.rows or r.rows != r.cols:
-        raise InputError("profile does not cover the matrix")
-    g = direct_sum(gs)
-    try:
-        ginv = mat_inverse(g)
-    except SingularMatrixError as exc:
-        raise InputError(f"gauge factor is singular: {exc}") from exc
-    return mat_mul(mat_mul(ginv, r), g)
-

@@ -1,10 +1,9 @@
 """Brute-force enumeration of the map x -> x R on the q^N points of GF(q)^N.
 
 Points are indexed little-endian in base q by slot: index = sum x_k q^k,
-each digit x_k an int-encoded field element.  Both `materialize_map` and
-`brute_force_census` run on one image-table builder that works digit by
-digit: with the table known on the first q^k points, the next digit
-fills the rest by
+each digit x_k an int-encoded field element.  `brute_force_census` runs
+on an image-table builder that works digit by digit: with the table
+known on the first q^k points, the next digit fills the rest by
 
     table[c q^k + i] = table[i] + c row_k        (c = 1 .. q-1),
 
@@ -33,7 +32,6 @@ from .fields import FiniteField
 from .matrices import RingMatrix
 from . import gf2
 
-MAP_GUARD = 1 << 20
 CENSUS_GUARD = 1 << 22
 # points per chunk of the enumeration (one digit's q points if q is larger)
 CHUNK_ROWS = 1 << 18
@@ -55,20 +53,6 @@ def check_points(q: int, n: int, guard: int) -> None:
     total = points_above(q, n, guard)
     if total is not None:
         raise ResourceLimitError(f"q^N = {total} exceeds the guard {guard}")
-
-
-class PointMap:
-    """Image table of a map on q^N points."""
-
-    def __init__(self, q: int, n: int, table: list[int]):
-        bound = q ** n
-        if len(table) != bound:
-            raise InputError("image table length must be q^N")
-        if min(table) < 0 or max(table) >= bound:
-            raise InputError("image table entry out of range")
-        self.q = q
-        self.n = n
-        self.table = table
 
 
 def _low_digits(q: int, n: int) -> int:
@@ -120,23 +104,6 @@ def _digit_chunks(r: RingMatrix, cols: list[int]):
 def _elements(digits: np.ndarray, p: int) -> np.ndarray:
     """Int encodings of (..., m) coefficient digits."""
     return digits.astype(np.int64) @ p ** np.arange(digits.shape[-1])
-
-
-def materialize_map(a: RingMatrix, guard: int = MAP_GUARD) -> PointMap:
-    field = a.ring
-    if not isinstance(field, FiniteField):
-        raise InputError("point maps need a finite field matrix")
-    if a.rows != a.cols:
-        raise InputError("point maps need a square matrix")
-    n = a.rows
-    check_points(field.q, n, guard)
-    if field.q == 2:
-        parts = [y for _, y in _bit_chunks(a, (1 << n) - 1)]
-    else:
-        # point index = sum of digit [j, d] * p^(j m + d)
-        parts = [_elements(y.reshape(len(y), -1), field.p)
-                 for _, y in _digit_chunks(a, list(range(n)))]
-    return PointMap(field.q, n, np.concatenate(parts).tolist())
 
 
 def brute_force_census(r: RingMatrix, profile, bcs, guard: int = CENSUS_GUARD):

@@ -103,14 +103,8 @@ class MultiPoly:
 
     # -- queries -------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
-
-    def num_terms(self) -> int:
-        return len(self.terms)
 
     def monomial_quotient(self, other: "MultiPoly") -> "MultiPoly | None":
         """Exact quotient self / other when other is a single term, else None."""
@@ -216,14 +210,6 @@ class PolyRing:
     def mul(self, a, b):
         return a * b
 
-    def sample(self, rng, max_terms: int = 5, max_deg: int = 3) -> MultiPoly:
-        span = self.char if self.char else 7
-        terms = {}
-        for _ in range(rng.randrange(max_terms + 1)):
-            e = tuple(rng.randrange(max_deg + 1) for _ in self.vars)
-            terms[e] = terms.get(e, 0) + rng.randrange(1, span)
-        return MultiPoly(self.vars, self.char, terms)
-
     def __eq__(self, other):
         return (isinstance(other, PolyRing)
                 and (self.vars, self.char) == (other.vars, other.char))
@@ -265,9 +251,6 @@ class ShiftAlgebra:
     def sub(self, a, b):
         sub = self.base.sub
         return tuple(sub(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(self.base.neg(x) for x in a)
 
     def mul(self, a, b):
         base, l = self.base, self.l

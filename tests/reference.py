@@ -1,0 +1,283 @@
+"""Reference code that only the tests use.
+
+The `cubeblocks` package holds what its command line runs.  The helpers
+here build test inputs (random bricks, random linear extensions, random
+polynomials), serve as independent references (row kernels, image
+tables, the circulant determinant formula) or re-derive an acceptance
+criterion (the line-ordering search, gauges and symmetrization).
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import numpy as np
+
+from cubeblocks import pointmap
+from cubeblocks.decomp3d import assemble_cube, mixed_product_difference, thick_basis_rows
+from cubeblocks.errors import InputError, SingularMatrixError, UnsupportedRingError
+from cubeblocks.fields import FiniteField
+from cubeblocks.lattice import BrickSpec, LatticeSpec
+from cubeblocks.matrices import (
+    BlockProfile, RingMatrix, mat_det, mat_inverse, mat_mul, row_vec_mul, rref,
+)
+from cubeblocks.polys import MultiPoly, PolyRing, ShiftAlgebra
+
+
+# ----------------------------------------------------------------------
+# random inputs
+# ----------------------------------------------------------------------
+
+def random_brick(field: FiniteField, d: int, thin_dims, rng) -> BrickSpec:
+    thin_dims = tuple(thin_dims)
+    n = sum(thin_dims)
+    m = RingMatrix(field, n, n, [field.sample(rng) for _ in range(n * n)])
+    return BrickSpec(d, thin_dims, m)
+
+
+def brick_to_json(brick: BrickSpec) -> dict:
+    """The brick description that `BrickSpec.from_json` and the CLI read."""
+    return {"d": brick.d, "thin_dims": list(brick.thin_dims),
+            "field": brick.ring.to_json(), "entries": brick.matrix.to_rows()}
+
+
+def random_linear_extension(spec: LatticeSpec, rng: random.Random) -> list[tuple[int, ...]]:
+    remaining = set(spec.vertices())
+    order = []
+    while remaining:
+        minimal = [v for v in remaining
+                   if not any(w != v and all(a <= b for a, b in zip(w, v))
+                              for w in remaining)]
+        v = rng.choice(sorted(minimal))
+        order.append(v)
+        remaining.remove(v)
+    return order
+
+
+def sample_poly(ring: PolyRing, rng, max_terms: int = 5, max_deg: int = 3) -> MultiPoly:
+    span = ring.char if ring.char else 7
+    terms = {}
+    for _ in range(rng.randrange(max_terms + 1)):
+        e = tuple(rng.randrange(max_deg + 1) for _ in ring.vars)
+        terms[e] = terms.get(e, 0) + rng.randrange(1, span)
+    return MultiPoly(ring.vars, ring.char, terms)
+
+
+# ----------------------------------------------------------------------
+# matrices
+# ----------------------------------------------------------------------
+
+def direct_sum(ms: list) -> RingMatrix:
+    if not ms:
+        raise InputError("direct sum of an empty list")
+    ring = ms[0].ring
+    rows = sum(m.rows for m in ms)
+    cols = sum(m.cols for m in ms)
+    out = RingMatrix.zeros(ring, rows, cols)
+    r = c = 0
+    for m in ms:
+        if m.ring != ring:
+            raise InputError("ring mismatch in direct sum")
+        out.set_block(r, c, m)
+        r += m.rows
+        c += m.cols
+    return out
+
+
+def row_kernel(m: RingMatrix) -> list[list]:
+    """Basis of {x : x @ m = 0} over a finite field, in RREF."""
+    ring = m.ring
+    if not isinstance(ring, FiniteField):
+        raise UnsupportedRingError("row_kernel needs a finite field")
+    # right nullspace of m^T
+    red, pivots = rref(m.transpose())
+    n = m.rows
+    piv_set = set(pivots)
+    free = [j for j in range(n) if j not in piv_set]
+    basis = []
+    for f in free:
+        x = [ring.zero] * n
+        x[f] = ring.one
+        for r_i, pc in enumerate(pivots):
+            # pivot coordinate determined by free coordinates
+            x[pc] = ring.neg(red[r_i, f])
+        basis.append(x)
+    if not basis:
+        return []
+    normalized, _ = rref(RingMatrix.from_rows(ring, basis))
+    return normalized.to_rows()
+
+
+def gauge_conjugate(r: RingMatrix, profile: BlockProfile, gs: list[RingMatrix]) -> RingMatrix:
+    """Conjugate by the block-diagonal matrix built from gs: G^-1 r G."""
+    if profile is None:
+        profile = BlockProfile(tuple(g.rows for g in gs))
+    if tuple(g.rows for g in gs) != profile.sizes:
+        raise InputError("gauge block sizes do not match the profile")
+    if profile.total != r.rows or r.rows != r.cols:
+        raise InputError("profile does not cover the matrix")
+    g = direct_sum(gs)
+    try:
+        ginv = mat_inverse(g)
+    except SingularMatrixError as exc:
+        raise InputError(f"gauge factor is singular: {exc}") from exc
+    return mat_mul(mat_mul(ginv, r), g)
+
+
+def circulant_det_charp(field: FiniteField, first_row: list, size: int):
+    """Determinant of the circulant with the given first row: when the
+    size is a power of the characteristic, it is the size-th power of
+    the row sum; otherwise fall back to plain elimination."""
+    if len(first_row) != size:
+        raise InputError("first row length must equal the size")
+    s = size
+    while s % field.p == 0:
+        s //= field.p
+    if s != 1:
+        return mat_det(ShiftAlgebra(field, size, True).matrix(first_row))
+    total = field.zero
+    for x in first_row:
+        total = field.add(total, x)
+    return field.pow(total, size)
+
+
+# ----------------------------------------------------------------------
+# the brute-force map x -> x R as an image table
+# ----------------------------------------------------------------------
+
+MAP_GUARD = 1 << 20
+
+
+class PointMap:
+    """Image table of a map on q^N points."""
+
+    def __init__(self, q: int, n: int, table: list[int]):
+        bound = q ** n
+        if len(table) != bound:
+            raise InputError("image table length must be q^N")
+        if min(table) < 0 or max(table) >= bound:
+            raise InputError("image table entry out of range")
+        self.q = q
+        self.n = n
+        self.table = table
+
+
+def materialize_map(a: RingMatrix, guard: int = MAP_GUARD) -> PointMap:
+    """The image table of x -> x a, from the oracle's chunked builder."""
+    field = a.ring
+    if not isinstance(field, FiniteField):
+        raise InputError("point maps need a finite field matrix")
+    if a.rows != a.cols:
+        raise InputError("point maps need a square matrix")
+    n = a.rows
+    pointmap.check_points(field.q, n, guard)
+    if field.q == 2:
+        parts = [y for _, y in pointmap._bit_chunks(a, (1 << n) - 1)]
+    else:
+        # point index = sum of digit [j, d] * p^(j m + d)
+        parts = [pointmap._elements(y.reshape(len(y), -1), field.p)
+                 for _, y in pointmap._digit_chunks(a, list(range(n)))]
+    return PointMap(field.q, n, np.concatenate(parts).tolist())
+
+
+# ----------------------------------------------------------------------
+# characteristic 2: square roots, symmetrization, the line ordering
+# ----------------------------------------------------------------------
+
+def sqrt_char2(field: FiniteField, x: int) -> int:
+    """The unique square root in characteristic 2: x^(2^(m-1))."""
+    if field.p != 2:
+        raise UnsupportedRingError("square roots via Frobenius need characteristic 2")
+    return field.pow(x, 1 << (field.m - 1))
+
+
+def matrix_grid(m: RingMatrix) -> list[list]:
+    return [[m[i, j] for j in range(3)] for i in range(3)]
+
+
+def symmetrize_brick(field: FiniteField, a: RingMatrix):
+    """Gauge (1, sqrt(a21/a12), sqrt(a31/a13)) making the brick symmetric;
+    requires the two triple products to agree and be nonzero."""
+    if field.p != 2:
+        raise InputError("symmetrization needs characteristic 2")
+    grid = matrix_grid(a)
+    pos = field.mul(field.mul(grid[0][1], grid[1][2]), grid[2][0])
+    neg = field.mul(field.mul(grid[0][2], grid[2][1]), grid[1][0])
+    if pos != neg:
+        raise InputError("triple products differ; brick is not symmetrizable")
+    if pos == field.zero:
+        raise InputError("triple products vanish; brick is not symmetrizable")
+    g = (field.one,
+         sqrt_char2(field, field.div(grid[1][0], grid[0][1])),
+         sqrt_char2(field, field.div(grid[2][0], grid[0][2])))
+    out = RingMatrix.zeros(field, 3, 3)
+    for i in range(3):
+        for j in range(3):
+            out[i, j] = field.mul(field.div(grid[i][j], g[i]), g[j])
+    for i in range(3):
+        for j in range(3):
+            if out[i, j] != out[j, i]:
+                raise RuntimeError("gauge failed to symmetrize the brick")
+    return g, out
+
+
+def resolve_line_ordering(seed: int = 2026, m: int = 16):
+    """Recover the slot order of the four lines in each thick space by
+    requiring the printed basis rows to satisfy their defining
+    eigenvector and transfer relations at a random specialization.
+
+    The search factorizes: axis 1 from the triple-product eigenvector
+    conditions, then axes 2 and 3 from the single-block transfers."""
+    field = FiniteField(2, m)
+    rng = random.Random(seed)
+    while True:
+        a = [[field.sample_nonzero(rng) for _ in range(3)] for _ in range(3)]
+        if mixed_product_difference(field, a) != field.zero:
+            break
+    blk, prof = assemble_cube(field, a, 2)
+    bp = prof.block_profile
+    sub = lambda i, j: blk.submatrix(bp.block_range(i), bp.block_range(j))
+    m_op = sub(0, 1) @ sub(1, 2) @ sub(2, 0)
+    t1, t2, t3 = thick_basis_rows(field, a)
+    sq = lambda x: field.mul(x, x)
+    lam1 = sq(field.mul(field.mul(a[0][2], a[2][1]), a[1][0]))
+    lam2 = sq(field.mul(field.mul(a[0][1], a[1][2]), a[2][0]))
+
+    def permuted(row, sigma):
+        out = [field.zero] * 4
+        for k in range(4):
+            out[sigma[k]] = row[k]
+        return out
+
+    def scaled(row, c):
+        return [field.mul(c, x) for x in row]
+
+    def transfer_ok(rows_from, s_from, rows_to, s_to, block, coeff_f, coeff_e):
+        v = row_vec_mul(permuted(rows_from[0], s_from), block)
+        if v != scaled(permuted(rows_to[0], s_to), coeff_f):
+            return False
+        return all(
+            row_vec_mul(permuted(rows_from[k], s_from), block)
+            == scaled(permuted(rows_to[k], s_to), coeff_e)
+            for k in (1, 2, 3))
+
+    solutions = []
+    for s1 in itertools.permutations(range(4)):
+        f = permuted(t1[0], s1)
+        if row_vec_mul(f, m_op) != scaled(f, lam1):
+            continue
+        if not all(row_vec_mul(permuted(t1[k], s1), m_op)
+                   == scaled(permuted(t1[k], s1), lam2) for k in (1, 2, 3)):
+            continue
+        for s2 in itertools.permutations(range(4)):
+            if not transfer_ok(t1, s1, t2, s2, sub(0, 1),
+                               sq(a[1][0]), sq(a[0][1])):
+                continue
+            for s3 in itertools.permutations(range(4)):
+                if transfer_ok(t1, s1, t3, s3, sub(0, 2),
+                               sq(a[2][0]), sq(a[0][2])):
+                    solutions.append((s1, s2, s3))
+    if len(solutions) != 1:
+        raise RuntimeError(f"line-ordering search found {len(solutions)} solutions")
+    return solutions[0]

@@ -4,19 +4,19 @@ import random
 import pytest
 
 from cubeblocks import cli, decomp3d, dim4, lattice
-from cubeblocks.cli import main
+from cubeblocks.cli import main, matrix_to_json
 from cubeblocks.fields import FiniteField
 from cubeblocks.lattice import BrickSpec
 from cubeblocks.matrices import RingMatrix, mat_inverse
-from cubeblocks.serialize import matrix_to_json
+from reference import brick_to_json, random_brick
 
 
 @pytest.fixture
 def brick3_path(tmp_path):
     rng = random.Random(1)
-    brick = BrickSpec.random(FiniteField(2), 3, (1, 1, 1), rng)
+    brick = random_brick(FiniteField(2), 3, (1, 1, 1), rng)
     path = tmp_path / "brick3.json"
-    path.write_text(json.dumps(brick.to_json()))
+    path.write_text(json.dumps(brick_to_json(brick)))
     return str(path)
 
 
@@ -66,9 +66,9 @@ def test_assemble_and_census(brick3_path, capsys):
 def test_evolve_2d(tmp_path, capsys):
     rng = random.Random(2)
     f = FiniteField(2, 16)
-    brick = BrickSpec.random(f, 2, (1, 1), rng)
+    brick = random_brick(f, 2, (1, 1), rng)
     path = tmp_path / "b2.json"
-    path.write_text(json.dumps(brick.to_json()))
+    path.write_text(json.dumps(brick_to_json(brick)))
     code, rep = _run_json(["evolve", "--brick", str(path), "--steps", "2",
                            "--no-timestamp"], capsys)
     assert code == 0
@@ -238,6 +238,33 @@ def test_default_cap_dim_refuses_before_assembly(command, brick3_path, capsys,
                             "--cap-dim 4096\n")
 
 
+@pytest.mark.parametrize("extra,message", [
+    (["--steps", "2", "--cap-dim", "40"], "block dimension 48 at step 2 exceeds the cap 40"),
+    (["--steps", "1000000"], "block dimension 12288 at step 6 exceeds the cap 4096")],
+    ids=["cap-40", "steps-1e6"])
+def test_evolve_cap_bounds_the_final_block(brick3_path, extra, message, capsys,
+                                          monkeypatch):
+    # a 3x3 brick's block has dimension 3 * 4^n after n steps; the cap
+    # applies to that, not to one axis, and is checked before any step
+    def fail(*args, **kwargs):
+        raise AssertionError("assemble_block called")
+    monkeypatch.setattr(lattice, "assemble_block", fail)
+    assert main(["evolve", "--brick", brick3_path, *extra, "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_b3_without_trials_is_exit_2(trials, capsys):
+    # no trial tests nothing, so there is no failure bound to report
+    assert main(["verify", "b3", "--p", "3", "--trials", trials,
+                 "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need at least one trial, got {trials}\n"
+
+
 def _case_brick(case, rng):
     """A GF(2^8) brick whose evolve report names the given case."""
     f = FiniteField(2, 8)
@@ -262,7 +289,7 @@ def test_evolve_passes_detection_the_block_it_would_build(case, capsys, monkeypa
         calls.append((args, kwargs))
         return detect(*args, **kwargs)
     monkeypatch.setattr(decomp3d, "detect_evolution_summands", spy)
-    code, rep = _run_json(["evolve", "--brick", json.dumps(brick.to_json()),
+    code, rep = _run_json(["evolve", "--brick", json.dumps(brick_to_json(brick)),
                            "--steps", "2", "--no-timestamp"], capsys)
     assert code == 0 and rep["case"] == case and rep["detection"]["verdict"] == "verified"
     (args, kwargs), = calls

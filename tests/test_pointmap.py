@@ -7,9 +7,10 @@ from cubeblocks import fieldmat, pointmap
 from cubeblocks.census import BoundaryConditions, count_configs
 from cubeblocks.errors import ResourceLimitError
 from cubeblocks.fields import FiniteField
-from cubeblocks.lattice import BrickSpec, LatticeSpec, assemble_block, default_order
-from cubeblocks.matrices import RingMatrix, direct_sum, rank, row_vec_mul
-from cubeblocks.pointmap import PointMap, brute_force_census, materialize_map
+from cubeblocks.lattice import LatticeSpec, assemble_block, default_order
+from cubeblocks.matrices import RingMatrix, rank, row_vec_mul
+from cubeblocks.pointmap import brute_force_census
+from reference import PointMap, direct_sum, materialize_map, random_brick
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -106,7 +107,7 @@ def _random_block(case, seed):
     f = FiniteField(p, m)
     rng = random.Random(seed)
     spec = LatticeSpec(len(thin), l=edge, thin_dims=thin)
-    _, prof = assemble_block(BrickSpec.random(f, len(thin), thin, rng), spec)
+    _, prof = assemble_block(random_brick(f, len(thin), thin, rng), spec)
     n = prof.total
     r = RingMatrix(f, n, n, [f.sample(rng) for _ in range(n * n)])
     return r, prof
@@ -156,7 +157,7 @@ def test_census_digit_sums_do_not_wrap():
     v = [rng.randrange(1, 89) for _ in range(3)]
     r = RingMatrix(f, 3, 3, [(int(i == j) + u[i] * v[j]) % 89
                              for i in range(3) for j in range(3)])
-    _, prof = assemble_block(BrickSpec.random(f, 3, (1, 1, 1), rng), LatticeSpec(3, l=1))
+    _, prof = assemble_block(random_brick(f, 3, (1, 1, 1), rng), LatticeSpec(3, l=1))
     assert brute_force_census(r, prof, BoundaryConditions.toric(3)).e == 2
 
 
@@ -221,7 +222,7 @@ def test_map_guard():
 
 def test_brute_force_census_is_q_power():
     rng = random.Random(3)
-    brick = BrickSpec.random(F3, 2, (1, 1), rng)
+    brick = random_brick(F3, 2, (1, 1), rng)
     blk, prof = assemble_block(brick, LatticeSpec(2, l=2))
     for tags in itertools.product(TAGS, repeat=2):
         cc = brute_force_census(blk, prof, BoundaryConditions(tags))
@@ -234,7 +235,7 @@ def test_interior_determinism():
     # assembled block to the input row vector
     rng = random.Random(5)
     for d, l in ((2, 2), (3, 2), (2, 3)):
-        brick = BrickSpec.random(F2, d, (1,) * d, rng)
+        brick = random_brick(F2, d, (1,) * d, rng)
         spec = LatticeSpec(d, l=l)
         blk, prof = assemble_block(brick, spec)
         order = default_order(spec)
