@@ -130,3 +130,11 @@ def test_json_roundtrip():
     g = FiniteField.from_json(f.to_json())
     assert g.p == 3 and g.m == 4 and g.modulus == f.modulus
 
+
+def test_build_extension_field():
+    # GF(p^m) is built by the constructor with its lowest irreducible modulus
+    f = FiniteField(2, 5)
+    assert f.q == 32
+    assert f.modulus == find_irreducible(2, 5)
+    assert all(f.pow(x, 31) == f.one for x in range(1, 32))
+

@@ -44,6 +44,13 @@ def test_position_is_injective_per_axis():
         assert len(seen) == 4
 
 
+def test_spec_json_roundtrip():
+    # the "lattice" entry of a report holds the constructor's arguments
+    spec = LatticeSpec(3, edges=(2, 3, 2), thin_dims=(1, 2, 1))
+    back = LatticeSpec(**spec.to_json())
+    assert back.edges == spec.edges and back.thin_dims == spec.thin_dims
+
+
 def test_brick_json_roundtrip():
     rng = random.Random(0)
     brick = random_brick(F4, 3, (1, 1, 1), rng)
