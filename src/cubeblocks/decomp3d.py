@@ -399,11 +399,16 @@ def _scalar_failure_sampled(field, p, trial, a, blocks, n, exponents):
         s = fieldmat.scalar_of(field, fwd)
         if s is None:
             return {"trial": trial, "pair": [k, l], "failed": "scalar"}
+        # the first t in 1..2p with base^t = s, by a running product
         base = field.mul(a[k][l], a[l][k])
-        t = next((t for t in range(1, 2 * p + 1) if field.pow(base, t) == s), None)
-        if t is None:
+        power = field.one
+        for t in range(1, 2 * p + 1):
+            power = field.mul(power, base)
+            if power == s:
+                exponents.add(t)
+                break
+        else:
             return {"trial": trial, "pair": [k, l], "failed": "exponent"}
-        exponents.add(t)
     return None
 
 

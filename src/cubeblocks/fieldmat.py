@@ -17,11 +17,14 @@ tensor T[a, b] = x^a * x^b mod f is built once per field by
 then acts as the m x m matrix over F_p whose row s holds x^s * e.  So
 ``matmul``, each elimination step and each batch of block assembly is
 one matrix product over the integers followed by one reduction mod p.
-That product runs as float64 BLAS, which is exact integer arithmetic
-while every partial sum stays below 2^53; past that bound it runs in
-int64 on reduced operands, summing as many terms at a time as stay below
-2^63; where a single product (p-1)^2 reaches 2^63 it raises
-``InputError``.  The choice follows from the shapes and from p alone.
+That product runs in one of three exact tiers, chosen from the shapes
+and from p alone: float32 BLAS while every partial sum stays below 2^24,
+float64 BLAS below 2^53, and past that int64 on reduced operands,
+summing as many terms at a time as stay below 2^63; where a single
+product (p-1)^2 reaches 2^63 it raises ``InputError``.  Float results
+are reduced mod p in their own dtype (see ``_reduce``), so block
+assembly keeps its accumulator in the product dtype and converts to
+int64 once, at the end.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from . import matrices
 from .errors import InputError
 from .fields import FiniteField
 
-_FLOAT_EXACT = 1 << 53
+# (dtype, bound): integer sums below the bound are exact in the dtype
+_FLOAT_TIERS = ((np.float32, 1 << 24), (np.float64, 1 << 53))
 _INT_EXACT = 1 << 63
 
 
@@ -52,7 +56,7 @@ def to_array(field: FiniteField, m: matrices.RingMatrix) -> np.ndarray:
 def from_array(field: FiniteField, arr: np.ndarray) -> matrices.RingMatrix:
     vals = coeffs_to_ints(field, arr)
     return matrices.RingMatrix(field, arr.shape[0], arr.shape[1],
-                      [int(v) for v in vals.reshape(-1)])
+                               vals.reshape(-1).tolist())
 
 
 def ints_to_coeffs(field: FiniteField, vals: np.ndarray) -> np.ndarray:
@@ -86,26 +90,24 @@ def fold_reduce(field: FiniteField, conv: np.ndarray) -> np.ndarray:
     return res % field.p
 
 
-def _product(p: int, x: np.ndarray, y: np.ndarray, xmax: int, ymax: int,
-             reduce: bool = True) -> tuple[np.ndarray, int]:
-    """x @ y (numpy matmul broadcasting) for arrays of nonnegative
-    integers at most xmax and ymax, and a bound on the entries returned.
+def product_dtype(p: int, k: int):
+    """The dtype in which products of reduced operands over F_p, summing
+    k terms, run: float32 or float64 while k (p-1)^2 is exact in it,
+    else int64."""
+    bound = k * (p - 1) ** 2
+    return next((dt for dt, exact in _FLOAT_TIERS if bound < exact), np.int64)
 
-    Float64 BLAS is exact while the sum of k terms is below 2^53.  Past
-    that the operands are reduced mod p and multiplied in int64, in
-    slices of the k terms whose sums stay below 2^63, each reduced mod p
-    before the next is added; a single product (p-1)^2 of 2^63 or more
-    cannot be formed exactly.  The result is reduced mod p (int64)
-    unless reduce is false and float64 was exact, in which case it is
-    the unreduced float64 product."""
+
+def _tier_product(p: int, x: np.ndarray, y: np.ndarray, xmax: int,
+                  ymax: int) -> tuple[np.ndarray, int]:
+    """x @ y in the first exact tier for its bound k * xmax * ymax, and a
+    bound on the entries returned: the float product, unreduced, or the
+    int64 product reduced mod p."""
     k = x.shape[-1]
     bound = k * xmax * ymax
-    if bound < _FLOAT_EXACT:
-        out = np.matmul(x.astype(np.float64, copy=False), y.astype(np.float64, copy=False))
-        if not reduce:
-            return out, bound
-        out = out.astype(np.int64)
-        return np.remainder(out, p, out=out), p - 1
+    for dtype, exact in _FLOAT_TIERS:
+        if bound < exact:
+            return np.matmul(x.astype(dtype, copy=False), y.astype(dtype, copy=False)), bound
     step = (_INT_EXACT - 1) // (p - 1) ** 2
     if step == 0:
         raise InputError(f"F_{p} is too large for exact int64 products")
@@ -116,6 +118,58 @@ def _product(p: int, x: np.ndarray, y: np.ndarray, xmax: int, ymax: int,
         out += np.matmul(xr[..., s:s + step], yr[..., s:s + step, :]) % p
         out %= p
     return out, p - 1
+
+
+# x mod p as x - p * floor((x + 1/2) * r), with r = 1/p rounded to a
+# float type of t-bit significands (unit roundoff u = 2^-t), is exact for
+# integers 0 <= x < 2^(t-2).  Write x = q p + s with 0 <= s < p.  Then
+# x + 1/2 is exact (x < 2^(t-1)), and (x + 1/2) / p = q + (s + 1/2) / p
+# lies at least 1/(2p) inside (q, q + 1).  Rounding r and the product
+# each add a relative error of at most u, so the computed quotient is off
+# by at most (x + 1/2) / p * (2u + u^2) <= (2^(t-2) - 1/2) 2u (1 + u/2) / p
+# = (1/2 - u)(1 + u/2) / p < 1/(2p), and its floor is q.  Then q p <= x
+# and x - q p = s are exact.  The bound is 2^22 in float32 and 2^51 in
+# float64; larger floats, still exact integers, reduce through int64.
+_ROUND_EXACT = {np.dtype(np.float32): 1 << 22, np.dtype(np.float64): 1 << 51}
+
+
+def _reduce(x: np.ndarray, p: int, bound: int) -> np.ndarray:
+    """x mod p, in place, for a float array of integers in [0, bound]
+    (any array when bound < p: it is already reduced)."""
+    if bound < p:
+        return x
+    if bound >= _ROUND_EXACT[x.dtype]:
+        x[...] = np.remainder(x.astype(np.int64), p)
+        return x
+    one = x.dtype.type(1)
+    q = x + one / 2
+    q *= one / x.dtype.type(p)
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    return x
+
+
+def reduced_product(p: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y mod p for operands with entries in [0, p), in the dtype of
+    its tier, product_dtype(p, k)."""
+    out, bound = _tier_product(p, x, y, p - 1, p - 1)
+    return _reduce(out, p, bound)
+
+
+def _product(p: int, x: np.ndarray, y: np.ndarray, xmax: int, ymax: int,
+             reduce: bool = True) -> tuple[np.ndarray, int]:
+    """x @ y (numpy matmul broadcasting) for arrays of nonnegative
+    integers at most xmax and ymax, and a bound on the entries returned.
+
+    The product runs in the first exact tier for its bound (see
+    ``_tier_product``).  The result is reduced mod p, as int64, unless
+    reduce is false and a float tier was exact, in which case it is the
+    unreduced float product."""
+    out, bound = _tier_product(p, x, y, xmax, ymax)
+    if not reduce:
+        return out, bound
+    return _reduce(out, p, bound).astype(np.int64, copy=False), p - 1
 
 
 @functools.lru_cache(maxsize=8)
@@ -161,7 +215,11 @@ def mul_regular(field: FiniteField, x: np.ndarray, reg: np.ndarray) -> np.ndarra
 
 
 def sub(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a - b) % field.p
+    """a - b for arrays of reduced entries: each difference is above -p,
+    so p is added where it is negative (where d >> 63 is -1)."""
+    d = a - b
+    d += (d >> 63) & field.p
+    return d
 
 
 def eye(field: FiniteField, n: int) -> np.ndarray:
@@ -176,20 +234,31 @@ def scalar_matrix(field: FiniteField, n: int, value: int) -> np.ndarray:
     return out
 
 
+def _entry(field: FiniteField, coeffs: np.ndarray) -> int:
+    """The int encoding of one entry's coefficients, read with one tolist()."""
+    out = 0
+    for c in reversed(coeffs.tolist()):
+        out = out * field.p + c
+    return out
+
+
 def scalar_of(field: FiniteField, arr: np.ndarray) -> int | None:
     """If arr equals c * identity, return the int encoding of c, else None."""
     n = arr.shape[0]
     if arr.shape[1] != n:
         return None
-    c = arr[0, 0]
-    if not np.array_equal(arr, scalar_matrix(field, n, int(coeffs_to_ints(field, c)))):
+    c = _entry(field, arr[0, 0])
+    if not np.array_equal(arr, scalar_matrix(field, n, c)):
         return None
-    return int(coeffs_to_ints(field, c))
+    return c
 
 
 def _scalar_regular(field: FiniteField, v: int) -> np.ndarray:
-    """The regular representation of the field element v."""
-    return regular(field, np.array(field.coeffs(v), dtype=np.int64).reshape(1, 1, -1))
+    """The regular representation of the field element v, by one product:
+    row s holds x^s * v."""
+    coeffs = np.array(field.coeffs(v), dtype=np.int64)
+    reg = _product(field.p, coeffs, _tensor(field), field.p - 1, field.p - 1)[0]
+    return reg.reshape(field.m, field.m)
 
 
 def _clear(field: FiniteField, a: np.ndarray, r: int, c: int, rows: np.ndarray) -> None:
@@ -198,7 +267,7 @@ def _clear(field: FiniteField, a: np.ndarray, r: int, c: int, rows: np.ndarray) 
     the column entries times the pivot row's regular representation."""
     if rows.size:
         prod = mul_regular(field, a[rows, c:c + 1], regular(field, a[r:r + 1, c:]))
-        a[rows, c:] = (a[rows, c:] - prod) % field.p
+        a[rows, c:] = sub(field, a[rows, c:], prod)
 
 
 def _forward(field: FiniteField, a: np.ndarray) -> tuple[list[int], list[int], int]:
@@ -221,7 +290,7 @@ def _forward(field: FiniteField, a: np.ndarray) -> tuple[list[int], list[int], i
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
             swaps += 1
-        val = int(coeffs_to_ints(field, a[r, c]))
+        val = _entry(field, a[r, c])
         inv = field.inv(val)
         if inv != field.one:
             a[r, c:] = mul_regular(field, a[r, c:, None], _scalar_regular(field, inv))[:, 0]
@@ -277,12 +346,12 @@ def hessenberg(field: FiniteField, a: np.ndarray) -> np.ndarray:
             h[:, [c + 1, piv]] = h[:, [piv, c + 1]]
         if not h[c + 2:, c].any():
             continue
-        inv = field.inv(int(coeffs_to_ints(field, h[c + 1, c])))
+        inv = field.inv(_entry(field, h[c + 1, c]))
         t = mul_regular(field, h[c + 2:, c, None], _scalar_regular(field, inv))
         # rows c+2.. minus t times row c+1, then column c+1 plus the
         # columns c+2.. times t: G h G^-1 with G = 1 - t e_{c+1}^T
-        h[c + 2:, c:] -= mul_regular(field, t, regular(field, h[c + 1:c + 2, c:]))
-        h[c + 2:, c:] %= p
+        h[c + 2:, c:] = sub(field, h[c + 2:, c:],
+                            mul_regular(field, t, regular(field, h[c + 1:c + 2, c:])))
         h[:, c + 1] += mul_regular(field, h[:, c + 2:], regular(field, t))[:, 0]
         h[:, c + 1] %= p
     return h

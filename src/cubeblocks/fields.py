@@ -112,20 +112,6 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _psub(a: list[int], b: list[int], p: int) -> list[int]:
     n = max(len(a), len(b))
     a = a + [0] * (n - len(a))
@@ -134,21 +120,19 @@ def _psub(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over F_p."""
+    """Ben-Or's test for a monic polynomial f of degree m over F_p: f is
+    irreducible iff gcd(f, x^(p^i) - x) = 1 for every i <= m/2, since a
+    reducible f has an irreducible factor of degree at most m/2 and those
+    of degree dividing i are exactly the factors of x^(p^i) - x.  Stops
+    at the first nontrivial gcd, so most candidates fail at small i."""
     m = len(f) - 1
     if m < 1:
         return False
     x = [0, 1]
     xq = x
-    for _ in range(m):
+    for _ in range(m // 2):
         xq = _ppowmod(xq, p, f, p)
-    if _psub(xq, x, p):
-        return False
-    for r in _prime_factors(m):
-        xe = x
-        for _ in range(m // r):
-            xe = _ppowmod(xe, p, f, p)
-        if _pgcd(f, _psub(xe, x, p), p) != [1]:
+        if _pgcd(f, _psub(xq, x, p), p) != [1]:
             return False
     return True
 
@@ -198,11 +182,12 @@ class FiniteField:
         self.char = p
         if modulus is None:
             modulus = find_irreducible(p, m)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise InputError("modulus must be monic of degree m")
-        if m > 1 and not _is_irreducible(list(modulus), p):
-            raise InputError("modulus is not irreducible over F_p")
+        else:
+            modulus = tuple(int(c) % p for c in modulus)
+            if len(modulus) != m + 1 or modulus[-1] != 1:
+                raise InputError("modulus must be monic of degree m")
+            if m > 1 and not _is_irreducible(list(modulus), p):
+                raise InputError("modulus is not irreducible over F_p")
         self.modulus = modulus
         self.zero = 0
         self.one = 1 % self.q
@@ -336,22 +321,45 @@ class FiniteField:
         p = self.p
         if self.m == 1:
             return pow(a, p - 2, p)
+        if p == 2:
+            return self._inv2(a)
         # extended Euclid in F_p[x], keeping r_i = s_i * a mod the modulus;
-        # the modulus is irreducible, so the remainders end in a constant
+        # the modulus is irreducible, so the remainders end in a constant.
+        # Each step divides r0 by r1 in place, long division from the top.
         r0, r1 = list(self.modulus), _trim(self.coeffs(a))
         s0, s1 = [], [1]
         while len(r1) > 1:
+            d = len(r1) - 1
             lead_inv = pow(r1[-1], p - 2, p)
-            while len(r0) >= len(r1):
-                term = [0] * (len(r0) - len(r1)) + [r0[-1] * lead_inv % p]
-                r0 = _psub(r0, _pmul(term, r1, p), p)
-                s0 = _psub(s0, _pmul(term, s1, p), p)
-            r0, r1, s0, s1 = r1, r0, s1, s0
+            while len(r0) > d:
+                c = r0.pop() * lead_inv % p
+                if not c:
+                    continue
+                shift = len(r0) - d
+                for i in range(d):
+                    r0[shift + i] = (r0[shift + i] - c * r1[i]) % p
+                s0.extend([0] * (shift + len(s1) - len(s0)))
+                for i, x in enumerate(s1):
+                    s0[shift + i] = (s0[shift + i] - c * x) % p
+            r0, r1, s0, s1 = r1, _trim(r0), s1, _trim(s0)
         c = pow(r1[0], p - 2, p)
         out = 0
         for x in reversed(s1):
             out = out * p + x * c % p
         return out
+
+    def _inv2(self, a: int) -> int:
+        # extended Euclid on bit patterns (carry-less), keeping
+        # u = g1 * a and v = g2 * a mod the modulus, until u = 1
+        u, v, g1, g2 = a, self._modbits, 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g1, g2 = v, u, g2, g1
+                j = -j
+            u ^= v << j
+            g1 ^= g2 << j
+        return g1
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from .errors import InputError, ResourceLimitError
 from .fields import FiniteField
 from .matrices import BlockProfile, RingMatrix
@@ -224,14 +226,18 @@ def _disjoint_runs(brick, profile, order) -> list[list[int]]:
 
 
 def _assemble_field(brick, spec, profile, order):
+    """The block as an int64 coefficient array.  The accumulator stays in
+    the dtype of its run products (float32 at small p), so a run is a
+    gather, one product reduced mod p in that dtype, and a scatter."""
     field = brick.ring
-    n, k = profile.total, brick.matrix.rows
-    acc = fieldmat.eye(field, n)
-    reg = fieldmat.regular(field, fieldmat.to_array(field, brick.matrix))
+    n, km = profile.total, brick.matrix.rows * field.m
+    dtype = fieldmat.product_dtype(field.p, km)
+    acc = fieldmat.eye(field, n).astype(dtype)
+    reg = fieldmat.regular(field, fieldmat.to_array(field, brick.matrix)).astype(dtype)
     for idx in _disjoint_runs(brick, profile, order):
-        cols = acc[:, idx, :].reshape(-1, k, field.m)
-        acc[:, idx, :] = fieldmat.mul_regular(field, cols, reg).reshape(n, len(idx), field.m)
-    return acc
+        cols = acc[:, idx, :].reshape(-1, km)
+        acc[:, idx, :] = fieldmat.reduced_product(field.p, cols, reg).reshape(n, len(idx), -1)
+    return acc.astype(np.int64)
 
 
 def evolve(brick: BrickSpec, steps: int, edge: int,
@@ -244,6 +250,9 @@ def evolve(brick: BrickSpec, steps: int, edge: int,
     # the last block is the largest: refuse it before the first step,
     # stopping at the first step past the cap
     dim, lines = sum(brick.thin_dims), edge ** (brick.d - 1)
+    if lines == 1:
+        raise InputError(f"the block of a {brick.d}-axis brick at edge {edge} never "
+                         f"grows, so evolve has no bound on its steps")
     for step in range(1, steps + 1):
         dim *= lines
         if dim > cap:

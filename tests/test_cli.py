@@ -255,6 +255,22 @@ def test_evolve_cap_bounds_the_final_block(brick3_path, extra, message, capsys,
     assert captured.err == f"error: {message}\n"
 
 
+def test_evolve_one_axis_brick_is_exit_2(capsys, monkeypatch):
+    # a one-axis block has one line per axis and never grows, so the cap
+    # cannot bound the steps; refused before the first step
+    def fail(*args, **kwargs):
+        raise AssertionError("assemble_block called")
+    monkeypatch.setattr(lattice, "assemble_block", fail)
+    brick = json.dumps({"d": 1, "thin_dims": [1], "entries": [[1]],
+                        "field": {"p": 2, "m": 1, "modulus": [0, 1]}})
+    assert main(["evolve", "--brick", brick, "--steps", "10000000",
+                 "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the block of a 1-axis brick at edge 2 never grows, "
+                            "so evolve has no bound on its steps\n")
+
+
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_b3_without_trials_is_exit_2(trials, capsys):
     # no trial tests nothing, so there is no failure bound to report

@@ -1,8 +1,9 @@
 """The coefficient-array kernels against generic paths that do not eliminate.
 
-Products run as float64 or int64 matrix products over the regular
-representation, so they are checked against ``RingMatrix`` products with
-scalar ``FiniteField.mul``, on both sides of the 2^53 bound.  Every
+Products run as float32, float64 or int64 matrix products over the
+regular representation, so they are checked against ``RingMatrix``
+products with scalar ``FiniteField.mul``, on both sides of the 2^24 and
+2^53 bounds, and the float reduction mod p on both sides of its own.  Every
 finite-field elimination runs on the one fieldmat kernel, so the
 elimination results are checked against independent ground truth: the
 Berkowitz characteristic polynomial (division-free) for determinants,
@@ -109,6 +110,39 @@ def test_product_switches_to_int64_at_2_53(k, dtype):
     got, bound = fieldmat._product(p, x, y, p - 1, p - 1)
     assert bound == p - 1 and got.dtype == np.int64
     assert (got == k * (p - 2) ** 2 % p).all()
+
+
+@pytest.mark.parametrize("k,dtype", [(15, np.float32), (17, np.float64)])
+def test_product_switches_to_float64_at_2_24(k, dtype):
+    # k (p-2)^2 is odd and above 2^24 at k = 17, where float32 would
+    # round it; at 15 the bound k (p-1)^2 is still below 2^24
+    p = 1031
+    assert 15 * (p - 1) ** 2 < 2 ** 24 <= 16 * (p - 1) ** 2
+    assert fieldmat.product_dtype(p, k) == dtype
+    x = np.full((2, k), p - 2, dtype=np.int64)
+    y = np.full((k, 3), p - 2, dtype=np.int64)
+    raw, _ = fieldmat._product(p, x, y, p - 1, p - 1, reduce=False)
+    assert raw.dtype == dtype and (raw == k * (p - 2) ** 2).all()
+    got, bound = fieldmat._product(p, x, y, p - 1, p - 1)
+    assert bound == p - 1 and got.dtype == np.int64
+    assert (got == k * (p - 2) ** 2 % p).all()
+    kept = fieldmat.reduced_product(p, x, y)
+    assert kept.dtype == dtype and (kept == k * (p - 2) ** 2 % p).all()
+
+
+@pytest.mark.parametrize("dtype,top", [(np.float32, 2 ** 22), (np.float64, 2 ** 51)])
+@pytest.mark.parametrize("p", [3, 7, 11, 41, 61, 1031, 65537])
+def test_float_reduction_is_exact_below_its_bound(dtype, top, p):
+    # x - p floor((x + 1/2) (1/p)) in the float type, for every x in a
+    # window at each end of [0, top) and random x between; at top and
+    # above the reduction goes through int64.  Without the 1/2, float32
+    # gets thousands of x below 2^22 wrong at p = 41 and 61.
+    rng = np.random.default_rng(p)
+    lo, hi = np.arange(1 << 14), np.arange(top - (1 << 14), top)
+    for x in (np.concatenate([lo, hi, rng.integers(0, top, 1 << 14)]),
+              top + rng.integers(0, top, 1 << 10)):
+        got = fieldmat._reduce(x.astype(dtype), p, int(x.max()))
+        assert got.dtype == dtype and np.array_equal(got.astype(np.int64), x % p)
 
 
 def test_products_past_int64_are_refused():

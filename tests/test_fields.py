@@ -33,6 +33,56 @@ def test_find_irreducible_small():
     assert find_irreducible(2, 2) == (1, 1, 1)
 
 
+# the moduli of the fields the CLI and the benchmark build, as Rabin's
+# test chose them; Ben-Or's test must pick the same
+PINNED_MODULI = {
+    (7, 16): (3, 2) + (0,) * 14 + (1,),
+    (11, 16): (5, 1, 1) + (0,) * 13 + (1,),
+    (3, 16): (1, 0, 1, 1) + (0,) * 12 + (1,),
+    (2, 16): (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("p,m", sorted(PINNED_MODULI))
+def test_moduli_are_pinned(p, m):
+    assert find_irreducible(p, m) == PINNED_MODULI[p, m]
+    assert FiniteField(p, m).modulus == PINNED_MODULI[p, m]
+
+
+def _mobius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("p,top", [(2, 10), (3, 6), (5, 4), (7, 3)])
+def test_irreducible_counts_match_gauss_formula(p, top):
+    # the monic irreducibles of degree m over F_p number
+    # (1/m) sum over d | m of mu(d) p^(m/d)
+    from cubeblocks.fields import _is_irreducible
+    for m in range(1, top + 1):
+        count = sum(_is_irreducible([code // p ** i % p for i in range(m)] + [1], p)
+                    for code in range(p ** m))
+        assert count * m == sum(_mobius(d) * p ** (m // d)
+                                for d in range(1, m + 1) if m % d == 0)
+
+
+@pytest.mark.parametrize("modulus", [(1, 0, 0, 0, 1), (1, 0, 1, 0, 1), (1, 1, 1, 1, 1, 1, 1)],
+                         ids=["(x+1)^4", "(x^2+x+1)^2", "x^6+...+1"])
+def test_reducible_modulus_is_refused(modulus):
+    # no roots, or no factor below degree m/2: (x^2 + x + 1)^2, and
+    # x^6 + x^5 + ... + 1 = (x^3 + x + 1)(x^3 + x^2 + 1) over F_2
+    with pytest.raises(InputError):
+        FiniteField(2, len(modulus) - 1, modulus)
+
+
 def test_bad_characteristic_rejected():
     with pytest.raises(InputError):
         FiniteField(4)

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from cubeblocks.errors import InputError
@@ -145,6 +146,32 @@ def test_batched_assembly_matches_generic(p, m, d, l, thin):
     for order in orders:
         fast = fieldmat.from_array(field, _assemble_field(brick, spec, prof, order))
         assert fast == _assemble_generic(brick, spec, prof, order)
+
+
+# a run product sums k m terms, each at most (p-1)^2, for k = sum(thin)
+@pytest.mark.parametrize("p,m,thin,dtype", [
+    (7, 16, (1, 1, 1), np.float32),  # 1728
+    (1031, 1, (1, 1, 1), np.float32),  # 3.2e6, below 2^22: rounded reduction
+    (1031, 1, (2, 1, 1), np.float32),  # 4.2e6, above 2^22: int64 reduction
+    (1031, 1, (6, 5, 5), np.float64),  # 1.7e7, above 2^24
+    (2 ** 31 - 1, 1, (1, 1, 1), np.int64)])  # above 2^53: sliced int64
+def test_assembly_matches_generic_in_every_product_tier(p, m, thin, dtype):
+    from cubeblocks import fieldmat
+    from cubeblocks.lattice import _assemble_field, _assemble_generic
+    field = FiniteField(p, m)
+    assert fieldmat.product_dtype(p, sum(thin) * m) == dtype
+    rng = random.Random(p + m)
+    # entries near p - 1 keep the run sums near their bound
+    n = sum(thin)
+    brick = BrickSpec(3, thin, RingMatrix(field, n, n, [
+        field.q - 1 - rng.randrange(3) for _ in range(n * n)]))
+    spec = LatticeSpec(3, l=2, thin_dims=thin)
+    prof = ThickProfile(spec)
+    for order in [default_order(spec)] + [random_linear_extension(spec, rng)
+                                          for _ in range(2)]:
+        fast = _assemble_field(brick, spec, prof, order)
+        assert fast.dtype == np.int64
+        assert fieldmat.from_array(field, fast) == _assemble_generic(brick, spec, prof, order)
 
 
 def test_evolve_dimensions():
