@@ -47,8 +47,15 @@ class ConfigCount:
 
 
 def build_constraint_system(r: RingMatrix, profile, bcs: BoundaryConditions) -> RingMatrix:
-    """Matrix C with one column per scalar constraint; x is permitted
-    iff x @ C = 0."""
+    """The constraints left on the free slots, as a matrix C.
+
+    x is permitted iff x (R - I) vanishes on the Periodic slots and x
+    vanishes on the ZeroInput slots.  A ZeroInput column e_j of that
+    system forces x_j = 0: it adds exactly one to the rank and removes
+    row j from the other columns.  So C keeps only the free rows (slots
+    that no ZeroInput axis pins) and the Periodic columns of R - I, the
+    restriction y of x to the free rows is permitted iff y @ C = 0, and
+    the permitted configurations number q^(C.rows - rank C)."""
     field = r.ring
     if not isinstance(field, FiniteField):
         raise InputError("constraint system needs a finite field matrix")
@@ -56,30 +63,26 @@ def build_constraint_system(r: RingMatrix, profile, bcs: BoundaryConditions) -> 
         raise InputError("boundary conditions must cover every axis")
     if r.rows != profile.total or r.cols != profile.total:
         raise InputError("block does not match the profile")
-    n = r.rows
-    cols: list[int] = []
+    free: list[int] = []
+    periodic: list[int] = []
     for axis, tag in enumerate(bcs.tags):
-        block = list(profile.block_profile.block_range(axis))
+        block = profile.block_profile.block_range(axis)
+        if tag != "ZeroInput":
+            free.extend(block)
         if tag == "Periodic":
-            cols.extend(("rm1", j) for j in block)
-        elif tag == "ZeroInput":
-            cols.extend(("sel", j) for j in block)
-    out = RingMatrix.zeros(field, n, len(cols))
-    rm1 = r - RingMatrix.identity(field, n)
-    for c, (kind, j) in enumerate(cols):
-        if kind == "rm1":
-            for i in range(n):
-                out[i, c] = rm1[i, j]
-        else:
-            out[j, c] = field.one
+            periodic.extend(block)
+    out = r.submatrix(free, periodic)
+    # subtract the identity: each Periodic slot is also a free row
+    row_of = {i: t for t, i in enumerate(free)}
+    for c, j in enumerate(periodic):
+        out[row_of[j], c] = field.sub(out[row_of[j], c], field.one)
     return out
 
 
 def count_configs(r: RingMatrix, profile, bcs: BoundaryConditions) -> ConfigCount:
     field = r.ring
     c = build_constraint_system(r, profile, bcs)
-    e = r.rows - rank(c)
-    return ConfigCount(field.p, field.q, e)
+    return ConfigCount(field.p, field.q, c.rows - rank(c))
 
 
 def census_report(r: RingMatrix, profile, bcs: BoundaryConditions,

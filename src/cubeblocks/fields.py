@@ -205,6 +205,10 @@ class FiniteField:
             cur = [c % p for c in nxt]
         self._red = red
         self._red_np = None
+        # Kronecker slots for products at odd p (see mul): a slot never
+        # exceeds (2m - 1)(p - 1)^2, so b bits hold it without a carry
+        self._slot = bits = ((2 * m - 1) * (p - 1) ** 2).bit_length()
+        self._red_packed = [sum(c << bits * i for i, c in enumerate(row)) for row in red]
         # the modulus as a bit pattern, for products in characteristic 2
         self._modbits = sum(1 << i for i, c in enumerate(modulus) if c)
 
@@ -268,25 +272,34 @@ class FiniteField:
             return (a * b) % self.p
         if self.p == 2:
             return self._mul2(a, b)
-        ca = self.coeffs(a)
-        cb = self.coeffs(b)
-        m = self.m
-        conv = [0] * (2 * m - 1)
-        for i, ai in enumerate(ca):
-            if ai:
-                for j, bj in enumerate(cb):
-                    conv[i + j] += ai * bj
-        res = conv[:m]
-        for t in range(m, 2 * m - 1):
-            c = conv[t]
-            if c:
-                row = self._red[t - m]
-                for i in range(m):
-                    res[i] += c * row[i]
+        # Kronecker substitution: the coefficients sit in b-bit slots of
+        # one int, so a single int product gives the convolution, m - 1
+        # packed reduction rows fold its high slots into the low m, and
+        # the slots unpack with % p.  Slot i of the convolution is a sum
+        # of at most m digit products, at most m (p - 1)^2; folding adds
+        # (c_t mod p) x^t-row entries, at most (m - 1)(p - 1)^2 more.
+        # The largest slot value is thus (2m - 1)(p - 1)^2 < 2^b.
+        p, m, bits = self.p, self.m, self._slot
+        mask = (1 << bits) - 1
+        prod = self._pack(a) * self._pack(b)
+        low = prod & ((1 << bits * m) - 1)
+        high = prod >> bits * m
+        for row in self._red_packed:
+            low += (high & mask) % p * row
+            high >>= bits
         x = 0
-        for c in reversed(res):
-            x = x * self.p + c % self.p
+        for shift in range(bits * (m - 1), -1, -bits):
+            x = x * p + (low >> shift & mask) % p
         return x
+
+    def _pack(self, a: int) -> int:
+        """The base-p digits of a, one per Kronecker slot."""
+        out = shift = 0
+        while a:
+            a, c = divmod(a, self.p)
+            out |= c << shift
+            shift += self._slot
+        return out
 
     def _mul2(self, a: int, b: int) -> int:
         # carry-less multiply then reduce by the modulus bit pattern

@@ -1,24 +1,33 @@
-"""Brute-force enumeration of the map x -> x R on the q^N points of GF(q)^N.
+"""Brute-force census: the zeros of one folded constraint map on GF(q)^N.
 
 Points are indexed little-endian in base q by slot: index = sum x_k q^k,
-each digit x_k an int-encoded field element.  `brute_force_census` runs
-on an image-table builder that works digit by digit: with the table
-known on the first q^k points, the next digit fills the rest by
+each digit x_k an int-encoded field element.  The boundary conditions on
+a block R are linear in the input row x.  With P the slots of the
+Periodic axes and Z those of the ZeroInput axes, x is permitted iff
 
-    table[c q^k + i] = table[i] + c row_k        (c = 1 .. q-1),
+    L(x) = (x (R - I) on the columns P,  x on the slots Z) = 0,
 
-where row_k is row k of R.  For q = 2 the rows are uint64 bit-rows from
-`gf2.pack_rows` and the sum is XOR; otherwise a table row holds the
-base-p coefficient digits of every selected column, shape (cols, m), and
-the sum is digit-wise, reduced mod p once per chunk.  The low digits are
-built once into a table of at most CHUNK_ROWS points; each value of the
-remaining top digits adds one constant offset to it, so memory stays
-bounded whatever q^N is.  The census builds only the columns that a
-Periodic axis constrains; a ZeroInput axis reads input digits only.
+and `brute_force_census` counts the zeros of L over all q^N points.  Row
+k of L, the image of e_k, folds the identity and the ZeroInput selectors
+into row k of R.  The values of L come from an image-table builder that
+works digit by digit: with the table known on the first q^k points, the
+next digit fills the rest by
+
+    table[c q^k + i] = table[i] + c row_k        (c = 1 .. q-1).
+
+For q = 2 the rows are uint64 bit-rows from `gf2.pack_rows`, folded to
+(row_k & P) ^ (bit k & (P | Z)) (P and Z come from different axes, so
+the masks never overlap), and the sum is XOR.  Otherwise a table row
+holds the base-p coefficient digits of every column of L, the rows are
+c (R - I)[k, P] and c e_k on Z, and the sum is digit-wise mod p.  The
+low digits are built once into a table of at most CHUNK_ROWS points;
+each value of the remaining top digits adds one constant offset to it,
+so the zeros of a chunk are the table rows equal to minus its offset,
+and memory stays bounded whatever q^N is.
 
 The enumeration is the ground truth that `census.count_configs` is
 checked against, so it shares nothing with the rank path: the only
-multiplications are the q N |cols| scalars c r[k, j], taken through
+multiplications are the q N |cols| scalars c L[k, j], taken through
 `FiniteField.mul`; there is no elimination, no `fieldmat` and no
 multiplication tensor.
 """
@@ -63,47 +72,41 @@ def _low_digits(q: int, n: int) -> int:
     return min(low, n)
 
 
-def _bit_chunks(r: RingMatrix, mask: int):
-    """(first index, image bits & mask) per chunk, over GF(2)."""
-    n = r.rows
-    rows = np.array(gf2.pack_rows(r), dtype=np.uint64) & np.uint64(mask)
-    low = _low_digits(2, n)
-    table = np.zeros(1 << low, dtype=np.uint64)
-    for k in range(low):
-        table[1 << k:2 << k] = table[:1 << k] ^ rows[k]
-    for top in range(1 << (n - low)):
-        offset = np.uint64(0)
-        for k in range(low, n):
-            if top >> (k - low) & 1:
-                offset ^= rows[k]
-        yield top << low, table ^ offset
-
-
-def _digit_chunks(r: RingMatrix, cols: list[int]):
-    """(first index, image digits) per chunk, over GF(p^m) with q > 2: the
-    digits have shape (points, len(cols), m), coefficient d of column
-    cols[j] at [:, j, d]."""
-    field = r.ring
-    p, q, m, n = field.p, field.q, field.m, r.rows
-    # digit sums are reduced mod p once per chunk, so the dtype holds n of them
-    dtype = np.min_scalar_type(n * (p - 1))
-    scaled = np.array([[[field.mul(c, r[k, j]) for j in cols] for c in range(q)]
-                       for k in range(n)], dtype=np.int64).reshape(n, q, len(cols))
-    scaled = (scaled[..., None] // p ** np.arange(m) % p).astype(dtype)
+def _chunks(scaled: np.ndarray, q: int, p: int):
+    """(table, offset) per chunk of points, in index order.  scaled[k, c]
+    is the image of c at slot k, with scaled[k, 0] = 0: a uint64 bit-row
+    at q = 2, whose chunk images are table ^ offset, else a vector of
+    base-p digits, reduced here, whose chunk images are
+    (table + offset[:, None]) % p.  The points run along the last axis
+    of the table, so each digit is one contiguous row."""
+    add = np.bitwise_xor if q == 2 else np.add
+    n = len(scaled)
     low = _low_digits(q, n)
-    table = np.zeros((q ** low, len(cols), m), dtype=dtype)
+    table = np.zeros(scaled.shape[2:] + (q ** low,), dtype=scaled.dtype)
     for k in range(low):
         block = q ** k
         for c in range(1, q):
-            np.add(table[:block], scaled[k, c], out=table[c * block:(c + 1) * block])
+            add(table[..., :block], scaled[k, c][..., None],
+                out=table[..., c * block:(c + 1) * block])
+    if q > 2:
+        table %= p
+    slots = np.arange(low, n)
     for top in range(q ** (n - low)):
-        offset = sum(scaled[k, top // q ** (k - low) % q] for k in range(low, n))
-        yield top * q ** low, (table + offset) % p
+        digits = np.array([top // q ** i % q for i in range(n - low)], dtype=np.intp)
+        offset = add.reduce(scaled[slots, digits], axis=0, dtype=scaled.dtype)
+        yield table, (offset if q == 2 else offset % p)
 
 
-def _elements(digits: np.ndarray, p: int) -> np.ndarray:
-    """Int encodings of (..., m) coefficient digits."""
-    return digits.astype(np.int64) @ p ** np.arange(digits.shape[-1])
+def _digit_rows(field: FiniteField, rows: list[list[int]], cols: int) -> np.ndarray:
+    """(n, q, cols m) base-p digits of c rows[k][j] for c = 0 .. q-1, the
+    digit d of column j at [k, c, j m + d]."""
+    p, q, m, n = field.p, field.q, field.m, len(rows)
+    # table digit sums are reduced mod p once, so the dtype holds n of
+    # them, and a table digit plus an offset digit
+    dtype = np.min_scalar_type(max(n, 2) * (p - 1))
+    scaled = np.array([[[field.mul(c, x) for x in row] for c in range(q)]
+                       for row in rows], dtype=np.int64).reshape(n, q, cols)
+    return (scaled[..., None] // p ** np.arange(m) % p).astype(dtype).reshape(n, q, cols * m)
 
 
 def brute_force_census(r: RingMatrix, profile, bcs, guard: int = CENSUS_GUARD):
@@ -129,21 +132,22 @@ def brute_force_census(r: RingMatrix, profile, bcs, guard: int = CENSUS_GUARD):
             raise InputError(f"unknown boundary tag {tag!r}")
     count = 0
     if q == 2:
-        pmask = np.uint64(sum(1 << j for j in periodic))
-        zmask = np.uint64(sum(1 << j for j in zero))
-        for start, y in _bit_chunks(r, pmask):
-            x = np.arange(start, start + len(y), dtype=np.uint64)
-            count += np.count_nonzero((((x & pmask) ^ y) | (x & zmask)) == 0)
+        pmask = sum(1 << j for j in periodic)
+        zmask = sum(1 << j for j in zero)
+        rows = [(row & pmask) ^ ((1 << k) & (pmask | zmask))
+                for k, row in enumerate(gf2.pack_rows(r))]
+        scaled = np.array([[0, row] for row in rows], dtype=np.uint64)
+        for table, offset in _chunks(scaled, 2, 2):
+            count += np.count_nonzero(table == offset)
     else:
-        for start, y in _digit_chunks(r, periodic):
-            x = np.arange(start, start + len(y), dtype=np.int64)
-            ok = np.ones(len(y), dtype=bool)
-            for j in zero:
-                ok &= x // q ** j % q == 0
-            ys = _elements(y, field.p)
-            for c, j in enumerate(periodic):
-                ok &= ys[:, c] == x // q ** j % q
-            count += np.count_nonzero(ok)
+        p = field.p
+        # int(k == j) encodes the field's one on the diagonal, zero off it
+        rows = [[field.sub(r[k, j], int(k == j)) for j in periodic]
+                + [int(k == j) for j in zero] for k in range(r.rows)]
+        scaled = _digit_rows(field, rows, len(periodic) + len(zero))
+        for table, offset in _chunks(scaled, q, p):
+            neg = -offset.astype(np.int64) % p
+            count += np.count_nonzero((table == neg[:, None]).all(axis=0))
     e = 0
     c = count
     while c > 1:

@@ -2,8 +2,9 @@
 
 The `cubeblocks` package holds what its command line runs.  The helpers
 here build test inputs (random bricks, random linear extensions, random
-polynomials), serve as independent references (row kernels, image
-tables, the circulant determinant formula) or re-derive an acceptance
+polynomials), serve as independent references (the convolution product
+in GF(p^m), row kernels, image tables, the full-system census rank, the
+circulant determinant formula) or re-derive an acceptance
 criterion (the line-ordering search, gauges and symmetrization).
 """
 
@@ -14,13 +15,13 @@ import random
 
 import numpy as np
 
-from cubeblocks import pointmap
+from cubeblocks import gf2, pointmap
 from cubeblocks.decomp3d import assemble_cube, mixed_product_difference, thick_basis_rows
 from cubeblocks.errors import InputError, SingularMatrixError, UnsupportedRingError
 from cubeblocks.fields import FiniteField
 from cubeblocks.lattice import BrickSpec, LatticeSpec
 from cubeblocks.matrices import (
-    BlockProfile, RingMatrix, mat_det, mat_inverse, mat_mul, row_vec_mul, rref,
+    BlockProfile, RingMatrix, mat_det, mat_inverse, mat_mul, rank, row_vec_mul, rref,
 )
 from cubeblocks.polys import MultiPoly, PolyRing, ShiftAlgebra
 
@@ -62,6 +63,29 @@ def sample_poly(ring: PolyRing, rng, max_terms: int = 5, max_deg: int = 3) -> Mu
         e = tuple(rng.randrange(max_deg + 1) for _ in ring.vars)
         terms[e] = terms.get(e, 0) + rng.randrange(1, span)
     return MultiPoly(ring.vars, ring.char, terms)
+
+
+# ----------------------------------------------------------------------
+# field products
+# ----------------------------------------------------------------------
+
+def convolution_mul(field: FiniteField, a: int, b: int) -> int:
+    """The product in GF(p^m) as a digit convolution reduced by the
+    x^t mod modulus rows, O(m^2) scalar steps."""
+    ca, cb = field.coeffs(a), field.coeffs(b)
+    m, red = field.m, field.reduction_matrix.tolist()
+    conv = [0] * (2 * m - 1)
+    for i, ai in enumerate(ca):
+        for j, bj in enumerate(cb):
+            conv[i + j] += ai * bj
+    res = conv[:m]
+    for t in range(m, 2 * m - 1):
+        for i in range(m):
+            res[i] += conv[t] * red[t - m][i]
+    x = 0
+    for c in reversed(res):
+        x = x * field.p + c % field.p
+    return x
 
 
 # ----------------------------------------------------------------------
@@ -170,15 +194,38 @@ def materialize_map(a: RingMatrix, guard: int = MAP_GUARD) -> PointMap:
         raise InputError("point maps need a finite field matrix")
     if a.rows != a.cols:
         raise InputError("point maps need a square matrix")
-    n = a.rows
-    pointmap.check_points(field.q, n, guard)
-    if field.q == 2:
-        parts = [y for _, y in pointmap._bit_chunks(a, (1 << n) - 1)]
+    n, p, q = a.rows, field.p, field.q
+    pointmap.check_points(q, n, guard)
+    if q == 2:
+        scaled = np.array([[0, row] for row in gf2.pack_rows(a)], dtype=np.uint64)
+        parts = [table ^ offset for table, offset in pointmap._chunks(scaled, q, p)]
     else:
-        # point index = sum of digit [j, d] * p^(j m + d)
-        parts = [pointmap._elements(y.reshape(len(y), -1), field.p)
-                 for _, y in pointmap._digit_chunks(a, list(range(n)))]
+        # point index = sum of digit d of entry j * p^(j m + d)
+        scaled = pointmap._digit_rows(field, a.to_rows(), n)
+        weights = p ** np.arange(n * field.m)
+        parts = [weights @ ((table + offset[:, None]) % p)
+                 for table, offset in pointmap._chunks(scaled, q, p)]
     return PointMap(field.q, n, np.concatenate(parts).tolist())
+
+
+# ----------------------------------------------------------------------
+# censuses
+# ----------------------------------------------------------------------
+
+def full_system_exponent(r: RingMatrix, profile, bcs) -> int:
+    """The census exponent n - rank([R - I | E_Z]) from every constraint
+    column: the Periodic columns of R - I and a selector column e_j for
+    each ZeroInput slot j."""
+    field, n = r.ring, r.rows
+    rm1 = r - RingMatrix.identity(field, n)
+    cols = []
+    for axis, tag in enumerate(bcs.tags):
+        for j in profile.block_profile.block_range(axis):
+            if tag == "Periodic":
+                cols.append([rm1[i, j] for i in range(n)])
+            elif tag == "ZeroInput":
+                cols.append([field.one if i == j else field.zero for i in range(n)])
+    return n - rank(RingMatrix.from_rows(field, cols).transpose())
 
 
 # ----------------------------------------------------------------------

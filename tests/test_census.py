@@ -11,7 +11,7 @@ from cubeblocks.fields import FiniteField
 from cubeblocks.lattice import BrickSpec, LatticeSpec, assemble_block
 from cubeblocks.matrices import RingMatrix, rank
 from cubeblocks.pointmap import brute_force_census
-from reference import gauge_conjugate, random_brick, row_kernel
+from reference import full_system_exponent, gauge_conjugate, random_brick, row_kernel
 
 F2 = FiniteField(2)
 F4 = FiniteField(2, 2)
@@ -107,7 +107,37 @@ def test_constraint_columns_count():
     brick = random_brick(F2, 2, (1, 1), rng)
     blk, prof = assemble_block(brick, LatticeSpec(2, l=2))
     c = build_constraint_system(blk, prof, BoundaryConditions(("Periodic", "ZeroInput")))
-    # the periodic axis contributes its slot columns of (r - 1), the
-    # zero-input axis its selector columns
-    assert c.rows == blk.rows
-    assert c.cols == 2 + 2
+    # the zero-input axis pins its slots, so only the periodic axis's
+    # slots stay as rows; the periodic axis contributes its slot columns
+    # of (r - 1), and the zero-input axis no column at all
+    assert c.rows == 2
+    assert c.cols == 2
+    assert c.to_rows() == [[blk[i, j] ^ (i == j) for j in (0, 1)] for i in (0, 1)]
+
+
+@pytest.mark.parametrize("p,m,thin,edge", [
+    (2, 1, (1, 1, 1), 2), (2, 2, (1, 1), 3), (3, 1, (2, 1), 2),
+    (3, 2, (1, 1), 2), (2, 8, (1, 1, 1), 2)],
+    ids=["GF2", "GF4", "GF3", "GF9", "GF256"])
+def test_count_configs_matches_full_system(p, m, thin, edge):
+    # C keeps only the free rows and the Periodic columns; the full
+    # system [R - I | E_Z] must give the same exponent for every tag mix,
+    # all-ZeroInput and all-Free included, on assembled blocks, dense
+    # random blocks and rank-one perturbations of the identity (whose
+    # R - I leaves most constraints dependent)
+    f = FiniteField(p, m)
+    rng = random.Random(p * 100 + m)
+    spec = LatticeSpec(len(thin), l=edge, thin_dims=thin)
+    for _ in range(2):
+        blk, prof = assemble_block(random_brick(f, len(thin), thin, rng), spec)
+        n = prof.total
+        dense = RingMatrix(f, n, n, [f.sample(rng) for _ in range(n * n)])
+        u = [f.sample(rng) for _ in range(n)]
+        v = [f.sample(rng) for _ in range(n)]
+        near = RingMatrix(f, n, n, [f.add(int(i == j), f.mul(u[i], v[j]))
+                                    for i in range(n) for j in range(n)])
+        for r in (blk, dense, near):
+            for tags in itertools.product(TAGS, repeat=len(thin)):
+                bcs = BoundaryConditions(tags)
+                assert count_configs(r, prof, bcs).e \
+                    == full_system_exponent(r, prof, bcs), tags

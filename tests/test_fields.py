@@ -7,7 +7,7 @@ import pytest
 from cubeblocks.cli import main
 from cubeblocks.errors import InputError
 from cubeblocks.fields import FiniteField, find_irreducible, is_prime
-from reference import sqrt_char2
+from reference import convolution_mul, sqrt_char2
 
 
 # ----------------------------------------------------------------------
@@ -147,6 +147,21 @@ def test_axioms(p, m):
         assert f.add(x, f.neg(x)) == f.zero
         if x != f.zero:
             assert f.mul(x, f.inv(x)) == f.one
+
+
+@pytest.mark.parametrize("p,m", [(3, 16), (7, 16), (11, 16), (5, 8), (65537, 2)])
+def test_kronecker_mul_matches_convolution(p, m):
+    # the packed product against the O(m^2) digit convolution, on random
+    # pairs and on 0, 1 and q - 1, whose digits are all p - 1 and fill
+    # every slot to its bound (2m - 1)(p - 1)^2
+    f = FiniteField(p, m)
+    rng = random.Random(p * m)
+    special = [0, 1, f.q - 1]
+    pairs = [(x, y) for x in special for y in special]
+    pairs += [(f.sample(rng), f.sample(rng)) for _ in range(300)]
+    pairs += [(x, f.sample(rng)) for x in special for _ in range(10)]
+    for x, y in pairs:
+        assert f.mul(x, y) == convolution_mul(f, x, y), (x, y)
 
 
 @pytest.mark.parametrize("p,m", [(2, 8), (3, 4), (5, 2)])
