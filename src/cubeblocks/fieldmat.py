@@ -23,8 +23,8 @@ float64 BLAS below 2^53, and past that int64 on reduced operands,
 summing as many terms at a time as stay below 2^63; where a single
 product (p-1)^2 reaches 2^63 it raises ``InputError``.  Float results
 are reduced mod p in their own dtype (see ``_reduce``), so block
-assembly keeps its accumulator in the product dtype and converts to
-int64 once, at the end.
+assembly keeps its panel accumulator in the product dtype and converts
+to int64 once per panel, as it writes the panel into the block.
 """
 
 from __future__ import annotations
@@ -69,10 +69,12 @@ def ints_to_coeffs(field: FiniteField, vals: np.ndarray) -> np.ndarray:
 
 
 def coeffs_to_ints(field: FiniteField, arr: np.ndarray) -> np.ndarray:
-    arr = arr.astype(_int_dtype(field), copy=False) % field.p
-    out = arr[..., field.m - 1]
+    # reduced one coefficient plane at a time, so that no temporary is
+    # as large as arr
+    arr = arr.astype(_int_dtype(field), copy=False)
+    out = arr[..., field.m - 1] % field.p
     for i in range(field.m - 2, -1, -1):
-        out = out * field.p + arr[..., i]
+        out = out * field.p + arr[..., i] % field.p
     return out
 
 

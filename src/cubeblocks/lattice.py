@@ -71,37 +71,38 @@ class ThickProfile:
 
     For axis i, every line parallel to axis i is identified by its
     transverse coordinates (the d-1 coordinates on the other axes, in
-    axis order).  Lines occupy consecutive slots; each slot spans
+    axis order).  Lines occupy consecutive slots, numbered by reading the
+    transverse coordinates as a mixed-radix number whose first digit is
+    the most significant ("lex") or the least ("colex").  Each slot spans
     thin_dims[i] basis vectors.  Axis blocks are laid out in axis order.
     """
 
     def __init__(self, spec: LatticeSpec, ordering="lex"):
+        if ordering not in ("lex", "colex"):
+            raise InputError(f"unknown line ordering {ordering!r}")
         self.spec = spec
-        d = spec.d
-        self.axis_lines: list[list[tuple[int, ...]]] = []
-        for i in range(d):
-            other = [e for j, e in enumerate(spec.edges) if j != i]
-            lines = [t for t in itertools.product(*(range(e) for e in other))]
-            if ordering == "colex":
-                lines.sort(key=lambda t: tuple(reversed(t)))
-            elif ordering != "lex":
-                raise InputError(f"unknown line ordering {ordering!r}")
-            self.axis_lines.append(lines)
-        self.line_slot = [
-            {t: k for k, t in enumerate(lines)} for lines in self.axis_lines]
-        self.dims = tuple(len(self.axis_lines[i]) * spec.thin_dims[i] for i in range(d))
+        self.ordering = ordering
+        self.dims = tuple(spec.lines_per_axis(i) * t for i, t in enumerate(spec.thin_dims))
         self.block_profile = BlockProfile(self.dims)
         self.total = self.block_profile.total
 
-    def transverse(self, axis: int, vertex: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(x for j, x in enumerate(vertex) if j != axis)
-
-    def position(self, axis: int, vertex: tuple[int, ...]) -> int:
-        """First global index of the thin-space copy on the line through
-        vertex parallel to the given axis."""
-        slot = self.line_slot[axis][self.transverse(axis, vertex)]
-        return (self.block_profile.offsets[axis]
-                + slot * self.spec.thin_dims[axis])
+    def affected(self, vertices) -> np.ndarray:
+        """The global indices touched by the embedding at each vertex, as a
+        (vertices, k) array in brick order: row t holds, axis by axis, the
+        thin-space copy on the line through vertices[t] parallel to that
+        axis."""
+        spec = self.spec
+        v = np.asarray(vertices, dtype=np.int64).reshape(-1, spec.d)
+        table = []
+        for i, (off, t) in enumerate(zip(self.block_profile.offsets, spec.thin_dims)):
+            digits = [j for j in range(spec.d) if j != i]
+            if self.ordering == "colex":
+                digits.reverse()
+            slot = np.zeros(len(v), dtype=np.int64)
+            for j in digits:
+                slot = slot * spec.edges[j] + v[:, j]
+            table.append(off + t * slot[:, None] + np.arange(t))
+        return np.concatenate(table, axis=1)
 
 
 class BrickSpec:
@@ -144,12 +145,14 @@ def check_linear_extension(spec: LatticeSpec, order) -> list[tuple[int, ...]]:
     expected = set(spec.vertices())
     if set(order) != expected or len(order) != len(expected):
         raise InputError("order is not a permutation of the lattice points")
-    # no later vertex may precede an earlier one in the partial order
-    for a in range(len(order)):
-        for b in range(a + 1, len(order)):
-            x, y = order[b], order[a]
-            if x != y and all(u <= w for u, w in zip(x, y)):
-                raise InputError(f"order violates the lattice partial order at {x} -> {y}")
+    # the partial order is the transitive closure of its covers w = v - e_i,
+    # so it is enough that each vertex comes after its covered vertices
+    when = {v: t for t, v in enumerate(order)}
+    for v in order:
+        for i, x in enumerate(v):
+            w = v[:i] + (x - 1,) + v[i + 1:]
+            if x > 0 and when[w] > when[v]:
+                raise InputError(f"order violates the lattice partial order at {w} -> {v}")
     return order
 
 
@@ -170,23 +173,12 @@ def assemble_block(brick: BrickSpec, spec: LatticeSpec, order=None,
     return _assemble_generic(brick, spec, profile, order), profile
 
 
-def _affected(brick: BrickSpec, profile: ThickProfile, vertex):
-    """Global indices touched by the embedding at vertex, in brick order."""
-    spec = profile.spec
-    idx = []
-    for i in range(spec.d):
-        base = profile.position(i, vertex)
-        idx.extend(base + s for s in range(spec.thin_dims[i]))
-    return idx
-
-
 def _assemble_generic(brick, spec, profile, order) -> RingMatrix:
     ring = brick.ring
     acc = RingMatrix.identity(ring, profile.total)
     n = profile.total
     k = brick.matrix.rows
-    for v in order:
-        idx = _affected(brick, profile, v)
+    for idx in profile.affected(order).tolist():
         # acc <- acc @ embed(v): only the affected columns change
         new_cols = []
         for b in range(k):
@@ -209,35 +201,56 @@ def _assemble_generic(brick, spec, profile, order) -> RingMatrix:
     return acc
 
 
-def _disjoint_runs(brick, profile, order) -> list[list[int]]:
-    """Cut order greedily into runs of consecutive vertices whose affected
-    indices are pairwise disjoint, each run given by those indices.  The
-    embeddings of a run commute, so a run is one product; the vertices
+def _disjoint_runs(table: np.ndarray) -> list[slice]:
+    """Cut the rows of an index table (one vertex each, in order) greedily
+    into runs of consecutive vertices whose indices are pairwise disjoint.
+    The embeddings of a run commute, so a run is one product; the vertices
     of a layer of default_order share no line, so each layer is one run."""
-    runs, used = [], set()
-    for v in order:
-        idx = _affected(brick, profile, v)
-        if not runs or used.intersection(idx):
-            runs.append([])
+    starts, used = [0], set()
+    for t, idx in enumerate(table.tolist()):
+        if used.intersection(idx):
+            starts.append(t)
             used = set()
-        runs[-1].extend(idx)
         used.update(idx)
-    return runs
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(table)])]
+
+
+# rows of the block built together; rows are independent (row r is e_r
+# times the product), so a panel runs every run on its own rows
+PANEL_ROWS = 64
 
 
 def _assemble_field(brick, spec, profile, order):
-    """The block as an int64 coefficient array.  The accumulator stays in
-    the dtype of its run products (float32 at small p), so a run is a
-    gather, one product reduced mod p in that dtype, and a scatter."""
+    """The block as a C-contiguous int64 coefficient array, built
+    PANEL_ROWS rows at a time in one reused accumulator.
+
+    The accumulator is column-major, (column, coefficient, row), so a
+    run's gather and scatter move whole columns of the panel, and it
+    stays in the dtype of the run products (float32 at small p).  A run
+    of V vertices is a gather of (V, k m, rows), one batched product with
+    the transposed regular representation of the brick, reduced mod p in
+    that dtype, and a scatter."""
     field = brick.ring
-    n, km = profile.total, brick.matrix.rows * field.m
+    n, m = profile.total, field.m
+    km = brick.matrix.rows * m
     dtype = fieldmat.product_dtype(field.p, km)
-    acc = fieldmat.eye(field, n).astype(dtype)
-    reg = fieldmat.regular(field, fieldmat.to_array(field, brick.matrix)).astype(dtype)
-    for idx in _disjoint_runs(brick, profile, order):
-        cols = acc[:, idx, :].reshape(-1, km)
-        acc[:, idx, :] = fieldmat.reduced_product(field.p, cols, reg).reshape(n, len(idx), -1)
-    return acc.astype(np.int64)
+    reg_t = fieldmat.regular(field, fieldmat.to_array(field, brick.matrix)).T
+    reg_t = np.ascontiguousarray(reg_t, dtype=dtype)
+    table = profile.affected(order)
+    runs = [table[run] for run in _disjoint_runs(table)]
+    out = np.empty((n, n, m), dtype=np.int64)
+    buf = np.empty(n * m * min(PANEL_ROWS, n), dtype=dtype)
+    for r0 in range(0, n, PANEL_ROWS):
+        rows = min(PANEL_ROWS, n - r0)
+        acc = buf[:n * m * rows].reshape(n, m, rows)
+        acc.fill(0)
+        acc[np.arange(r0, r0 + rows), 0, np.arange(rows)] = 1
+        for idx in runs:
+            cols = acc[idx].reshape(len(idx), km, rows)
+            acc[idx] = fieldmat.reduced_product(field.p, reg_t, cols).reshape(
+                idx.shape + (m, rows))
+        out[r0:r0 + rows] = acc.transpose(2, 0, 1)
+    return out
 
 
 def evolve(brick: BrickSpec, steps: int, edge: int,

@@ -10,6 +10,8 @@ the Berkowitz characteristic polynomial work over any commutative ring.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -28,14 +30,9 @@ class BlockProfile:
     def total(self) -> int:
         return sum(self.sizes)
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
-        out = []
-        acc = 0
-        for s in self.sizes:
-            out.append(acc)
-            acc += s
-        return tuple(out)
+        return tuple(accumulate(self.sizes, initial=0))[:-1]
 
     def block_range(self, i: int) -> range:
         off = self.offsets[i]

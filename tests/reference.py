@@ -2,8 +2,9 @@
 
 The `cubeblocks` package holds what its command line runs.  The helpers
 here build test inputs (random bricks, random linear extensions, random
-polynomials), serve as independent references (the convolution product
-in GF(p^m), row kernels, image tables, the full-system census rank, the
+polynomials), serve as independent references (the row-major block
+assembly and its per-vertex slot lookup, the convolution product in
+GF(p^m), row kernels, image tables, the full-system census rank, the
 circulant determinant formula) or re-derive an acceptance
 criterion (the line-ordering search, gauges and symmetrization).
 """
@@ -15,11 +16,11 @@ import random
 
 import numpy as np
 
-from cubeblocks import gf2, pointmap
+from cubeblocks import fieldmat, gf2, pointmap
 from cubeblocks.decomp3d import assemble_cube, mixed_product_difference, thick_basis_rows
 from cubeblocks.errors import InputError, SingularMatrixError, UnsupportedRingError
 from cubeblocks.fields import FiniteField
-from cubeblocks.lattice import BrickSpec, LatticeSpec
+from cubeblocks.lattice import BrickSpec, LatticeSpec, ThickProfile
 from cubeblocks.matrices import (
     BlockProfile, RingMatrix, mat_det, mat_inverse, mat_mul, rank, row_vec_mul, rref,
 )
@@ -63,6 +64,59 @@ def sample_poly(ring: PolyRing, rng, max_terms: int = 5, max_deg: int = 3) -> Mu
         e = tuple(rng.randrange(max_deg + 1) for _ in ring.vars)
         terms[e] = terms.get(e, 0) + rng.randrange(1, span)
     return MultiPoly(ring.vars, ring.char, terms)
+
+
+# ----------------------------------------------------------------------
+# block assembly
+# ----------------------------------------------------------------------
+
+def thick_position(profile: ThickProfile, axis: int, vertex) -> int:
+    """First global index of the thin-space copy on the line through
+    vertex parallel to axis: the lines of the axis are enumerated by
+    their transverse coordinates, sorted lex or colex, and counted."""
+    spec = profile.spec
+    other = [e for j, e in enumerate(spec.edges) if j != axis]
+    lines = list(itertools.product(*(range(e) for e in other)))
+    if profile.ordering == "colex":
+        lines.sort(key=lambda t: tuple(reversed(t)))
+    slot = lines.index(tuple(x for j, x in enumerate(vertex) if j != axis))
+    return profile.block_profile.offsets[axis] + slot * spec.thin_dims[axis]
+
+
+def affected_indices(profile: ThickProfile, vertex) -> list[int]:
+    """Global indices touched by the embedding at vertex, in brick order."""
+    idx = []
+    for axis, t in enumerate(profile.spec.thin_dims):
+        base = thick_position(profile, axis, vertex)
+        idx.extend(range(base, base + t))
+    return idx
+
+
+def row_major_assemble(brick: BrickSpec, spec: LatticeSpec, profile: ThickProfile,
+                       order) -> np.ndarray:
+    """The block as an int64 coefficient array by the row-major kernel:
+    one (n, n, m) accumulator in the product dtype; order is cut into runs
+    of consecutive vertices with pairwise disjoint affected indices, and
+    a run is a gather of acc[:, idx, :] across every row, one product with
+    the regular representation of the brick, reduced mod p, and a
+    scatter."""
+    field = brick.ring
+    n, km = profile.total, brick.matrix.rows * field.m
+    dtype = fieldmat.product_dtype(field.p, km)
+    acc = fieldmat.eye(field, n).astype(dtype)
+    reg = fieldmat.regular(field, fieldmat.to_array(field, brick.matrix)).astype(dtype)
+    runs, used = [], set()
+    for v in order:
+        idx = affected_indices(profile, v)
+        if not runs or used.intersection(idx):
+            runs.append([])
+            used = set()
+        runs[-1].extend(idx)
+        used.update(idx)
+    for idx in runs:
+        cols = acc[:, idx, :].reshape(-1, km)
+        acc[:, idx, :] = fieldmat.reduced_product(field.p, cols, reg).reshape(n, len(idx), -1)
+    return acc.astype(np.int64)
 
 
 # ----------------------------------------------------------------------

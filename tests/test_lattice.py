@@ -11,7 +11,10 @@ from cubeblocks.lattice import (
     default_order, evolve,
 )
 from cubeblocks.matrices import RingMatrix
-from reference import brick_to_json, random_brick, random_linear_extension
+from reference import (
+    affected_indices, brick_to_json, random_brick, random_linear_extension, row_major_assemble,
+    thick_position,
+)
 
 F2 = FiniteField(2)
 F4 = FiniteField(2, 2)
@@ -41,8 +44,22 @@ def test_position_is_injective_per_axis():
     spec = LatticeSpec(3, l=2)
     prof = ThickProfile(spec)
     for axis in range(3):
-        seen = {prof.position(axis, v) for v in spec.vertices()}
+        seen = {thick_position(prof, axis, v) for v in spec.vertices()}
         assert len(seen) == 4
+
+
+@pytest.mark.parametrize("ordering", ["lex", "colex"])
+@pytest.mark.parametrize("edges,thin", [
+    ((4,), (2,)), ((3, 2), (1, 1)), ((2, 3), (2, 3)), ((3, 1, 4), (1, 1, 1)),
+    ((2, 3, 2), (2, 1, 3)), ((3, 3, 3), (1, 2, 1)), ((2, 3, 1, 2), (1, 2, 1, 1))])
+def test_index_table_matches_per_vertex_positions(ordering, edges, thin):
+    spec = LatticeSpec(len(edges), edges=edges, thin_dims=thin)
+    prof = ThickProfile(spec, ordering)
+    order = default_order(spec)
+    table = prof.affected(order)
+    assert table.shape == (len(order), sum(thin)) and table.dtype == np.int64
+    for row, v in zip(table.tolist(), order):
+        assert row == affected_indices(prof, v)
 
 
 def test_spec_json_roundtrip():
@@ -73,6 +90,22 @@ def test_bad_order_rejected():
     bad = [(1, 1), (0, 0), (0, 1), (1, 0)]
     with pytest.raises(InputError):
         check_linear_extension(spec, bad)
+
+
+def test_single_swapped_cover_rejected():
+    # swapping one vertex with the next in a valid order breaks exactly one
+    # cover relation when the second covers the first
+    spec = LatticeSpec(3, edges=(3, 2, 3))
+    order = default_order(spec)
+    for t in range(len(order) - 1):
+        v, w = order[t], order[t + 1]
+        swapped = order[:t] + [w, v] + order[t + 2:]
+        covers = sum(a != b for a, b in zip(v, w)) == 1 and all(a <= b for a, b in zip(v, w))
+        if covers:
+            with pytest.raises(InputError):
+                check_linear_extension(spec, swapped)
+        else:
+            assert check_linear_extension(spec, swapped) == swapped
 
 
 def test_assembly_independent_of_linear_extension():
@@ -141,7 +174,7 @@ def test_batched_assembly_matches_generic(p, m, d, l, thin):
     spec = LatticeSpec(d, l=l, thin_dims=thin)
     prof = ThickProfile(spec)
     # the layers of the default order are its runs: d(l-1)+1 products
-    assert len(_disjoint_runs(brick, prof, default_order(spec))) == d * (l - 1) + 1
+    assert len(_disjoint_runs(prof.affected(default_order(spec)))) == d * (l - 1) + 1
     orders = [default_order(spec)] + [random_linear_extension(spec, rng) for _ in range(4)]
     for order in orders:
         fast = fieldmat.from_array(field, _assemble_field(brick, spec, prof, order))
@@ -172,6 +205,29 @@ def test_assembly_matches_generic_in_every_product_tier(p, m, thin, dtype):
         fast = _assemble_field(brick, spec, prof, order)
         assert fast.dtype == np.int64
         assert fieldmat.from_array(field, fast) == _assemble_generic(brick, spec, prof, order)
+
+
+# PANEL_ROWS = 64 rows per panel: several panels with a partial last one
+# (147, 150 and 192 rows), blocks below one panel, thin dimensions above 1
+@pytest.mark.parametrize("p,m,d,l,thin,ordering", [
+    (7, 16, 3, 7, (1, 1, 1), "lex"), (2, 8, 3, 8, (1, 1, 1), "lex"),
+    (2, 8, 3, 8, (1, 1, 1), "colex"), (3, 3, 3, 5, (1, 2, 3), "colex"),
+    (3, 2, 3, 3, (1, 2, 1), "colex"), (5, 1, 2, 4, (2, 3), "lex"),
+    (2, 2, 2, 5, (3, 2), "colex"), (11, 1, 2, 3, (2, 3), "lex")])
+def test_panelled_assembly_matches_row_major(p, m, d, l, thin, ordering):
+    from cubeblocks.lattice import _assemble_field
+    field = FiniteField(p, m)
+    rng = random.Random(p * 1000 + m * 100 + l)
+    brick = random_brick(field, d, thin, rng)
+    spec = LatticeSpec(d, l=l, thin_dims=thin)
+    prof = ThickProfile(spec, ordering)
+    orders = [default_order(spec)]
+    if len(orders[0]) <= 125:  # random_linear_extension is cubic in the vertices
+        orders += [random_linear_extension(spec, rng) for _ in range(2)]
+    for order in orders:
+        fast = _assemble_field(brick, spec, prof, order)
+        assert fast.dtype == np.int64 and fast.flags.c_contiguous
+        assert np.array_equal(fast, row_major_assemble(brick, spec, prof, order))
 
 
 def test_evolve_dimensions():

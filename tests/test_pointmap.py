@@ -10,7 +10,7 @@ from cubeblocks.fields import FiniteField
 from cubeblocks.lattice import LatticeSpec, assemble_block, default_order
 from cubeblocks.matrices import RingMatrix, rank, row_vec_mul
 from cubeblocks.pointmap import brute_force_census
-from reference import PointMap, direct_sum, materialize_map, random_brick
+from reference import PointMap, affected_indices, direct_sum, materialize_map, random_brick
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -88,10 +88,7 @@ def propagate_configuration(brick, spec, profile, order, x: list[int]) -> list[i
     field = brick.ring
     state = list(x)
     for v in order:
-        idx = []
-        for i in range(spec.d):
-            pos = profile.position(i, v)
-            idx.extend(pos + s for s in range(spec.thin_dims[i]))
+        idx = affected_indices(profile, v)
         local = [state[g] for g in idx]
         new = [field.zero] * len(local)
         for a in range(len(local)):
