@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import random
 import sys
@@ -205,27 +206,28 @@ def _suite_symmetric(args) -> list[dict]:
     return results
 
 
+def _nondegenerate_brick(field, rng, case: str, b44_zero: bool) -> dim4.Brick4:
+    """The first random 4x4 brick, with b44 set to zero if asked, that is
+    nondegenerate for the case at chain length 2."""
+    while True:
+        brick = dim4.Brick4.random(field, rng)
+        if b44_zero:
+            brick.matrix[3, 3] = field.zero
+        try:
+            if dim4.nondegeneracy_4d(brick, case, 1):
+                return brick
+        except SingularMatrixError:
+            continue
+
+
 def _suite_algebra(args) -> list[dict]:
     """Cube conjugation identity with entries in a chain algebra."""
     field = FiniteField(2, 8)
     rng = random.Random(args.seed)
-    results = []
-    for case in dim4.CASES:
-        brick = None
-        while brick is None:
-            cand = dim4.Brick4.random(field, rng)
-            rows = [[cand.matrix[i, j] for j in range(4)] for i in range(4)]
-            rows[3][3] = field.zero
-            cand = dim4.Brick4(RingMatrix.from_rows(field, rows))
-            try:
-                if dim4.nondegeneracy_4d(cand, case, 1):
-                    brick = cand
-            except SingularMatrixError:
-                continue
-        results.append(_from_decomp(
-            f"chain-algebra-conjugation-{case}",
-            dim4.verify_stratification(brick, 1, case)))
-    return results
+    return [_from_decomp(f"chain-algebra-conjugation-{case}",
+                         dim4.verify_stratification(
+                             _nondegenerate_brick(field, rng, case, True), 1, case))
+            for case in dim4.CASES]
 
 
 def _suite_dim4(args) -> list[dict]:
@@ -233,14 +235,7 @@ def _suite_dim4(args) -> list[dict]:
     rng = random.Random(args.seed)
     results = list(_suite_algebra(args))
     for case in dim4.CASES:
-        brick = None
-        while brick is None:
-            cand = dim4.Brick4.random(field, rng)
-            try:
-                if dim4.nondegeneracy_4d(cand, case, 1):
-                    brick = cand
-            except SingularMatrixError:
-                continue
+        brick = _nondegenerate_brick(field, rng, case, False)
         for bcs in (BoundaryConditions.toric(3),
                     BoundaryConditions.uniform(3, "Free"),
                     BoundaryConditions(("Periodic", "ZeroInput", "Free"))):
@@ -415,6 +410,7 @@ def cmd_reduce4d(args) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cubeblocks",

@@ -38,6 +38,9 @@ SYM_VARS = ("a11", "a12", "a13", "a22", "a23", "a33")
 # used as printed and reports only record this order.
 RESOLVED_LINE_ORDERING = ((0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 2, 3))
 
+# Sampled checks draw their points from GF(p^SAMPLE_DEGREE).
+SAMPLE_DEGREE = 16
+
 
 # ----------------------------------------------------------------------
 # Brick grids and thick-space basis rows
@@ -54,10 +57,6 @@ def symmetric_brick_ring() -> tuple[PolyRing, list[list[MultiPoly]]]:
     g = lambda i, j: ring.gen(f"a{min(i, j)}{max(i, j)}")
     grid = [[g(i, j) for j in (1, 2, 3)] for i in (1, 2, 3)]
     return ring, grid
-
-
-def grid_matrix(ring, grid) -> RingMatrix:
-    return RingMatrix.from_rows(ring, grid)
 
 
 def thick_basis_rows(ring, a) -> tuple[list, list, list]:
@@ -102,19 +101,8 @@ def thick_basis_rows(ring, a) -> tuple[list, list, list]:
     return t1, t2, t3
 
 
-@dataclass
-class ThickBasisSet:
-    p1: RingMatrix
-    p2: RingMatrix
-    p3: RingMatrix
-
-    def as_list(self):
-        return [self.p1, self.p2, self.p3]
-
-
-def thick_basis_matrices(ring, a) -> ThickBasisSet:
-    return ThickBasisSet(*(RingMatrix.from_rows(ring, rows)
-                           for rows in thick_basis_rows(ring, a)))
+def thick_basis_matrices(ring, a) -> list[RingMatrix]:
+    return [RingMatrix.from_rows(ring, rows) for rows in thick_basis_rows(ring, a)]
 
 
 def mixed_product_difference(ring, a):
@@ -129,9 +117,8 @@ def mixed_product_difference(ring, a):
 # ----------------------------------------------------------------------
 
 def assemble_cube(ring, a, l: int):
-    brick = BrickSpec(3, (1, 1, 1), grid_matrix(ring, a))
-    spec = LatticeSpec(3, l=l)
-    return assemble_block(brick, spec)
+    return assemble_block(BrickSpec(3, (1, 1, 1), RingMatrix.from_rows(ring, a)),
+                          LatticeSpec(3, l=l))
 
 
 def _stack_basis(ring, per_space_rows) -> RingMatrix:
@@ -144,6 +131,14 @@ def _stack_basis(ring, per_space_rows) -> RingMatrix:
             for k, x in enumerate(row):
                 out[4 * i + s, 4 * i + k] = x
     return out
+
+
+def _conjugation_mismatch(p_full: RingMatrix, blk: RingMatrix, sigma: RingMatrix):
+    """The first entry [i, j] where p_full @ blk and sigma @ p_full
+    differ, or None when the conjugation identity holds."""
+    lhs, rhs = p_full @ blk, sigma @ p_full
+    return next(([i, j] for i in range(lhs.rows) for j in range(lhs.cols)
+                 if lhs[i, j] != rhs[i, j]), None)
 
 
 def _sigma_generic(ring, a) -> RingMatrix:
@@ -189,7 +184,7 @@ def verify_decomposition_3d(mode: str = "symbolic", field: FiniteField | None = 
         ring, a = generic_brick_ring()
     elif mode == "sampled":
         if field is None:
-            field = FiniteField(2, 16)
+            field = FiniteField(2, SAMPLE_DEGREE)
         if field.p != 2:
             raise InputError("the cube decomposition needs characteristic 2")
         ring = field
@@ -212,20 +207,14 @@ def verify_decomposition_3d(mode: str = "symbolic", field: FiniteField | None = 
     else:
         raise InputError(f"unknown mode {mode!r}")
     blk, _ = assemble_cube(ring, a, 2)
-    basis = thick_basis_matrices(ring, a)
-    p_full = _stack_basis(ring, [m.to_rows() for m in basis.as_list()])
-    sigma = _sigma_generic(ring, a)
-    lhs = p_full @ blk
-    rhs = sigma @ p_full
-    if lhs != rhs:
-        bad = next((i, j) for i in range(12) for j in range(12)
-                   if lhs[i, j] != rhs[i, j])
+    bad = _conjugation_mismatch(_stack_basis(ring, thick_basis_rows(ring, a)), blk,
+                                _sigma_generic(ring, a))
+    if bad is not None:
         return DecompositionReport(summands, 2, Verdict(False, witness={
-            "entry": list(bad), "mode": mode}))
+            "entry": bad, "mode": mode}))
     details = {"mode": mode}
     if mode == "sampled":
-        dets = [mat_det(m) for m in basis.as_list()]
-        if any(d == ring.zero for d in dets):
+        if any(mat_det(m) == ring.zero for m in thick_basis_matrices(ring, a)):
             return DecompositionReport(
                 summands, 2, Verdict(True, details={"reason": "degenerate"}),
                 degenerate=True, details={"reason": "singular thick basis"})
@@ -239,6 +228,8 @@ def verify_decomposition_2d(mode: str = "symbolic", field: FiniteField | None = 
     """2x2 block: exact integer-coefficient form, then the char-2 split
     into two squared copies via the cleared basis (e1, e2, e1 R12, e2 R12)."""
     summands = [("Brick", 2)]
+    if mode not in ("symbolic", "sampled"):
+        raise InputError(f"unknown mode {mode!r}")
     if mode == "symbolic":
         zring = PolyRing(("a", "b", "c", "d"), 0)
         a, b, c, d = zring.gens()
@@ -259,7 +250,7 @@ def verify_decomposition_2d(mode: str = "symbolic", field: FiniteField | None = 
         a, b, c, d = ring.gens()
     else:
         if field is None:
-            field = FiniteField(2, 16)
+            field = FiniteField(2, SAMPLE_DEGREE)
         ring = field
         if entries is None:
             rng = random.Random(seed)
@@ -298,7 +289,7 @@ def verify_decomposition_2d(mode: str = "symbolic", field: FiniteField | None = 
         [z, sq(a), z, ring.one],
         [b2c2, z, sq(d), z],
         [z, b2c2, z, sq(d)]])
-    checks["cleared_conjugation"] = (p_hat @ blk == sigma_hat @ p_hat)
+    checks["cleared_conjugation"] = _conjugation_mismatch(p_hat, blk, sigma_hat) is None
     if mode == "sampled":
         if b == ring.zero or c == ring.zero:
             return DecompositionReport(
@@ -332,7 +323,7 @@ def _poly_coeffs_product(ring, roots_with_mult):
 
 def _sampled_cube_arrays(field, rng):
     a = [[field.sample_nonzero(rng) for _ in range(3)] for _ in range(3)]
-    brick = BrickSpec(3, (1, 1, 1), grid_matrix(field, a))
+    brick = BrickSpec(3, (1, 1, 1), RingMatrix.from_rows(field, a))
     blk, _ = assemble_block(brick, LatticeSpec(3, l=field.p))
     arr = fieldmat.to_array(field, blk)
     n = field.p ** 2
@@ -430,14 +421,16 @@ def _spectrum_failure_sampled(field, p, trial, a, blocks, n):
 
 
 @functools.lru_cache(maxsize=1)
-def _b3_pass(p: int, mode: str, trials: int, seed: int, m: int) -> tuple[Verdict, Verdict]:
-    """(scalar verdict, spectrum verdict), both checked on the same blocks.
+def _b3_pass(p: int, trials: int, seed: int) -> tuple[Verdict, Verdict]:
+    """(scalar verdict, spectrum verdict), both checked on the same blocks:
+    symbolically at p = 2, else at trials random bricks over
+    GF(p^SAMPLE_DEGREE).
 
     A claim is not checked again after its first failure, so each verdict
     and witness is the one a separate pass over the same seed would give.
     Only the verdicts are cached, so that the second of the two public
     checks on the same arguments costs nothing."""
-    if p == 2 and mode in ("auto", "symbolic"):
+    if p == 2:
         ring, a = generic_brick_ring()
         blk, prof = assemble_cube(ring, a, 2)
         bp = prof.block_profile
@@ -446,7 +439,7 @@ def _b3_pass(p: int, mode: str, trials: int, seed: int, m: int) -> tuple[Verdict
         bad_spectrum = _spectrum_failure_symbolic(ring, a, sub)
         bounds, details, exponent = (None, None), [{"mode": "symbolic", "p": 2}] * 2, 2
     else:
-        field = FiniteField(p, m)
+        field = FiniteField(p, SAMPLE_DEGREE)
         rng = random.Random(seed)
         exponents = set()
         bad_scalar = bad_spectrum = None
@@ -473,18 +466,16 @@ def _b3_pass(p: int, mode: str, trials: int, seed: int, m: int) -> tuple[Verdict
     return scalar, spectrum
 
 
-def verify_scalar_structure(p: int, mode: str = "auto", trials: int = 32,
-                            seed: int = 0, m: int = 16) -> Verdict:
+def verify_scalar_structure(p: int, trials: int = 32, seed: int = 0) -> Verdict:
     """Diagonal blocks R_ii = a_ii^p and scalar commuting pair products
     R_kl R_lk; the scalar's observed exponent is reported."""
-    return _b3_pass(p, mode, trials, seed, m)[0]
+    return _b3_pass(p, trials, seed)[0]
 
 
-def verify_triple_product_spectrum(p: int, mode: str = "auto", trials: int = 32,
-                                   seed: int = 0, m: int = 16) -> Verdict:
+def verify_triple_product_spectrum(p: int, trials: int = 32, seed: int = 0) -> Verdict:
     """Quadratic minimal polynomial of R12 R23 R31 with eigenvalue
     multiplicities p(p-1)/2 and p(p+1)/2."""
-    return _b3_pass(p, mode, trials, seed, m)[1]
+    return _b3_pass(p, trials, seed)[1]
 
 
 # ----------------------------------------------------------------------
@@ -567,13 +558,15 @@ def verify_symmetric_decomposition(level: str = "simple", mode: str = "symbolic"
                                    entries=None, seed: int = 0) -> DecompositionReport:
     """Conjugation identity for a symmetric brick: two squared simple
     summands plus one 6x6 double summand; at the double-brick level,
-    four simple plus two double."""
+    checked symbolically only, four simple plus two double."""
+    if mode not in ("symbolic", "sampled"):
+        raise InputError(f"unknown mode {mode!r}")
     if level == "simple":
         if mode == "symbolic":
             ring, a = symmetric_brick_ring()
         else:
             if field is None:
-                field = FiniteField(2, 16)
+                field = FiniteField(2, SAMPLE_DEGREE)
             ring = field
             if entries is None:
                 rng = random.Random(seed)
@@ -598,43 +591,28 @@ def verify_symmetric_decomposition(level: str = "simple", mode: str = "symbolic"
                         details={"reason": "an off-diagonal entry vanishes"})
         summands = [("SimpleSymmetric", 2), ("DoubleBrick", 1)]
     elif level == "double":
-        base = PolyRing(SYM_VARS, 2) if mode == "symbolic" else (
-            field if field is not None else FiniteField(2, 16))
-        if mode != "symbolic" and entries is None:
-            rng = random.Random(seed)
-            vals = {v: base.sample_nonzero(rng) for v in SYM_VARS}
-            sym_of = lambda i, j: vals[f"a{min(i, j)}{max(i, j)}"]
-        elif mode != "symbolic":
-            sym_of = lambda i, j: entries[i - 1][j - 1]
-        else:
-            sym_of = lambda i, j: base.gen(f"a{min(i, j)}{max(i, j)}")
+        if mode != "symbolic":
+            raise InputError("the double level is checked symbolically only")
+        base = PolyRing(SYM_VARS, 2)
+        sym_of = lambda i, j: base.gen(f"a{min(i, j)}{max(i, j)}")
         # entries in base[t]/(t^2 - 1): a23 = a32 carries the involution t
         ring = ShiftAlgebra(base, 2, periodic=True)
         a = [[ring.scalar(sym_of(i, j)) for j in (1, 2, 3)] for i in (1, 2, 3)]
-        a[1][2] = (base.zero, sym_of(2, 3))
-        a[2][1] = a[1][2]
+        a[1][2] = a[2][1] = (base.zero, sym_of(2, 3))
         summands = [("SimpleSymmetric", 4), ("DoubleBrick", 2)]
     else:
         raise InputError(f"unknown level {level!r}")
 
     blk, prof = assemble_cube(ring, a, 2)
-    bp = prof.block_profile
-    t1, t2, t3 = thick_basis_rows(ring, a)
     # the second and third distinguished vectors come from their defining
     # quotients; the printed third one carries a typo (see g3_typo_report)
-    gs = defining_g_vectors(ring, a, blk, bp)
-    per_space = []
-    for axis, t in enumerate((t1, t2, t3)):
-        per_space.append([t[1], t[2], gs[axis], t[0]])
-    p_full = _stack_basis(ring, per_space)
-    sigma = _sigma_symmetric(ring, a)
-    lhs = p_full @ blk
-    rhs = sigma @ p_full
-    if lhs != rhs:
-        bad = next((i, j) for i in range(12) for j in range(12)
-                   if lhs[i, j] != rhs[i, j])
+    gs = defining_g_vectors(ring, a, blk, prof.block_profile)
+    per_space = [[t[1], t[2], g, t[0]] for t, g in zip(thick_basis_rows(ring, a), gs)]
+    bad = _conjugation_mismatch(_stack_basis(ring, per_space), blk,
+                                _sigma_symmetric(ring, a))
+    if bad is not None:
         return DecompositionReport(summands, 2, Verdict(False, witness={
-            "entry": list(bad), "level": level, "mode": mode}))
+            "entry": bad, "level": level, "mode": mode}))
     return DecompositionReport(summands, 2,
                                Verdict(True, details={"mode": mode, "level": level}),
                                details={"level": level})
@@ -698,7 +676,7 @@ def evolution_census_closed_form(case: str, n: int) -> EvolutionCensus:
 
 
 def detect_evolution_summands(case: str, n: int, seed: int = 0,
-                              m: int = 16, field: FiniteField | None = None,
+                              field: FiniteField | None = None,
                               entries=None, block: RingMatrix | None = None) -> Verdict:
     """Compare the block R after n evolution steps at a random
     specialization with the predicted direct sum: det(R - x) must agree
@@ -714,56 +692,41 @@ def detect_evolution_summands(case: str, n: int, seed: int = 0,
     caller already evolved it from entries; otherwise R is evolved
     here."""
     if field is None:
-        field = FiniteField(2, m)
+        field = FiniteField(2, SAMPLE_DEGREE)
     rng = random.Random(seed)
     census = evolution_census_closed_form(case, n)
-    e = 2 ** n
-    if case == "2d":
-        if entries is None:
-            a, d = field.sample(rng), field.sample(rng)
-            b, c = field.sample_nonzero(rng), field.sample_nonzero(rng)
-        else:
-            (a, b), (c, d) = entries
-        brick = BrickSpec(2, (1, 1), RingMatrix.from_rows(field, [[a, b], [c, d]]))
-        fr = field.pow
-        tilde = [[fr(a, e), fr(b, e)], [fr(c, e), fr(d, e)]]
-        pieces = [(RingMatrix.from_rows(field, tilde), census.counts[0])]
+    if entries is not None:
+        a = [list(row) for row in entries]
+    elif case == "2d":
+        a11, a22 = field.sample(rng), field.sample(rng)
+        a12, a21 = field.sample_nonzero(rng), field.sample_nonzero(rng)
+        a = [[a11, a12], [a21, a22]]
     elif case == "3d-generic":
-        if entries is None:
-            while True:
-                a = [[field.sample_nonzero(rng) for _ in range(3)]
-                     for _ in range(3)]
-                if mixed_product_difference(field, a) != field.zero:
-                    break
-        else:
-            a = [list(row) for row in entries]
-        tilde = [[field.pow(a[i][j], e) for j in range(3)] for i in range(3)]
-        tmat = RingMatrix.from_rows(field, tilde)
-        pieces = [(tmat, census.counts[0]), (tmat.transpose(), census.counts[1])]
-        brick = BrickSpec(3, (1, 1, 1), grid_matrix(field, a))
-    elif case == "3d-symmetric":
-        if entries is None:
-            vals = {v: field.sample_nonzero(rng) for v in SYM_VARS}
-            a = [[vals[f"a{min(i, j)}{max(i, j)}"] for j in (1, 2, 3)]
-                 for i in (1, 2, 3)]
-        else:
-            a = [list(row) for row in entries]
-        tilde = [[field.pow(a[i][j], e) for j in range(3)] for i in range(3)]
-        simple = RingMatrix.from_rows(field, tilde)
-        dbl = RingMatrix.zeros(field, 6, 6)
+        while True:
+            a = [[field.sample_nonzero(rng) for _ in range(3)] for _ in range(3)]
+            if mixed_product_difference(field, a) != field.zero:
+                break
+    else:
+        vals = {v: field.sample_nonzero(rng) for v in SYM_VARS}
+        a = [[vals[f"a{min(i, j)}{max(i, j)}"] for j in (1, 2, 3)] for i in (1, 2, 3)]
+    e = 2 ** n
+    tilde = RingMatrix.from_rows(field, [[field.pow(x, e) for x in row] for row in a])
+    # 3d-generic pairs the Frobenius-twisted brick with its transpose and
+    # 3d-symmetric with the 6x6 double summand; 2d has a single count, so
+    # zip drops the second piece
+    second = tilde.transpose()
+    if case == "3d-symmetric":
+        second = RingMatrix.zeros(field, 6, 6)
         for i in range(3):
             for j in range(3):
-                dbl[2 * i, 2 * j] = tilde[i][j]
-                dbl[2 * i + 1, 2 * j + 1] = tilde[i][j]
+                second[2 * i, 2 * j] = second[2 * i + 1, 2 * j + 1] = tilde[i, j]
                 if {i, j} == {1, 2}:
-                    dbl[2 * i, 2 * j + 1] = tilde[i][j]
-        pieces = [(simple, census.counts[0]), (dbl, census.counts[1])]
-        brick = BrickSpec(3, (1, 1, 1), grid_matrix(field, a))
-    else:
-        raise InputError(f"unknown evolution case {case!r}")
+                    second[2 * i, 2 * j + 1] = tilde[i, j]
+    pieces = list(zip((tilde, second), census.counts))
     if block is None:
         from .lattice import evolve
-        block = evolve(brick, n, 2)[-1][0]
+        d = len(a)
+        block = evolve(BrickSpec(d, (1,) * d, RingMatrix.from_rows(field, a)), n, 2)[-1][0]
     total_dim = sum(p.rows * mult for p, mult in pieces)
     if block.rows != total_dim:
         return Verdict(False, witness={"failed": "dimension",

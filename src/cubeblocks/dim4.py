@@ -206,11 +206,10 @@ def verify_stratification(brick: Brick4, n: int, case: str) -> decomp3d.Decompos
     # at each step's brick (the cube identity over the algebra)
     current = [[x for x in row] for row in reduced.entries]
     for step in range(n):
-        blk, prof = decomp3d.assemble_cube(alg, current, 2)
-        basis = decomp3d.thick_basis_matrices(alg, current)
-        p_full = decomp3d._stack_basis(alg, [m.to_rows() for m in basis.as_list()])
-        sigma = decomp3d._sigma_generic(alg, current)
-        if p_full @ blk != sigma @ p_full:
+        blk, _ = decomp3d.assemble_cube(alg, current, 2)
+        p_full = decomp3d._stack_basis(alg, decomp3d.thick_basis_rows(alg, current))
+        if decomp3d._conjugation_mismatch(
+                p_full, blk, decomp3d._sigma_generic(alg, current)) is not None:
             return decomp3d.DecompositionReport(
                 [], e, Verdict(False, witness={"failed": "conjugation",
                                                "step": step}))

@@ -109,7 +109,7 @@ def _digit_rows(field: FiniteField, rows: list[list[int]], cols: int) -> np.ndar
     return (scaled[..., None] // p ** np.arange(m) % p).astype(dtype).reshape(n, q, cols * m)
 
 
-def brute_force_census(r: RingMatrix, profile, bcs, guard: int = CENSUS_GUARD):
+def brute_force_census(r: RingMatrix, profile, bcs):
     """Count permitted configurations by enumerating every input vector.
 
     The count is always a power of q (the constraints are linear); the
@@ -120,7 +120,7 @@ def brute_force_census(r: RingMatrix, profile, bcs, guard: int = CENSUS_GUARD):
     if not isinstance(field, FiniteField):
         raise InputError("census needs a finite field matrix")
     q = field.q
-    check_points(q, r.rows, guard)
+    check_points(q, r.rows, CENSUS_GUARD)
     periodic, zero = [], []
     for axis, tag in enumerate(bcs.tags):
         slots = list(profile.block_profile.block_range(axis))
@@ -128,8 +128,6 @@ def brute_force_census(r: RingMatrix, profile, bcs, guard: int = CENSUS_GUARD):
             periodic += slots
         elif tag == "ZeroInput":
             zero += slots
-        elif tag != "Free":
-            raise InputError(f"unknown boundary tag {tag!r}")
     count = 0
     if q == 2:
         pmask = sum(1 << j for j in periodic)

@@ -3,8 +3,8 @@ shift algebras base[t]/(t^l - 1) and base[t]/(t^l) over any ring.
 
 A polynomial is a map from exponent vectors to nonzero coefficients.
 The coefficient ring is tagged by ``char``: 0 means integer coefficients
-(Python ints, so no overflow), a prime p means F_p.  Terms are kept in
-graded-lexicographic order for stable iteration and serialization.
+(Python ints, so no overflow), a prime p means F_p.  Terms are stored
+in no particular order and printed in graded-lexicographic order.
 """
 
 from __future__ import annotations
@@ -12,10 +12,6 @@ from __future__ import annotations
 from .errors import InputError
 from .fields import FiniteField
 from .matrices import RingMatrix
-
-
-def _gradedlex_key(expts: tuple[int, ...]):
-    return (sum(expts), expts)
 
 
 class MultiPoly:
@@ -30,10 +26,7 @@ class MultiPoly:
                 c %= char
             if c:
                 cleaned[tuple(e)] = c
-        # canonical order: graded lex, highest first
-        self.terms = dict(sorted(cleaned.items(),
-                                 key=lambda kv: _gradedlex_key(kv[0]),
-                                 reverse=True))
+        self.terms = cleaned
 
     # -- constructors --------------------------------------------------
 
@@ -96,7 +89,7 @@ class MultiPoly:
         return (self.vars, self.char, self.terms) == (other.vars, other.char, other.terms)
 
     def __hash__(self):
-        return hash((self.vars, self.char, tuple(self.terms.items())))
+        return hash((self.vars, self.char, frozenset(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)
@@ -168,7 +161,9 @@ class MultiPoly:
         if not self.terms:
             return "0"
         parts = []
-        for e, c in self.terms.items():
+        # graded lex, highest first
+        for e, c in sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]),
+                           reverse=True):
             mono = "*".join(f"{v}^{x}" if x > 1 else v
                             for v, x in zip(self.vars, e) if x)
             if mono and c == 1:

@@ -5,8 +5,9 @@ here build test inputs (random bricks, random linear extensions, random
 polynomials), serve as independent references (the row-major block
 assembly and its per-vertex slot lookup, the convolution product in
 GF(p^m), row kernels, image tables, the full-system census rank, the
-circulant determinant formula) or re-derive an acceptance
-criterion (the line-ordering search, gauges and symmetrization).
+circulant determinant formula), re-derive an acceptance criterion (the
+line-ordering search, gauges and symmetrization) or inject a fault (a
+perturbed cube block).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import random
 
 import numpy as np
 
-from cubeblocks import fieldmat, gf2, pointmap
+from cubeblocks import decomp3d, fieldmat, gf2, pointmap
 from cubeblocks.decomp3d import assemble_cube, mixed_product_difference, thick_basis_rows
 from cubeblocks.errors import InputError, SingularMatrixError, UnsupportedRingError
 from cubeblocks.fields import FiniteField
@@ -382,3 +383,22 @@ def resolve_line_ordering(seed: int = 2026, m: int = 16):
     if len(solutions) != 1:
         raise RuntimeError(f"line-ordering search found {len(solutions)} solutions")
     return solutions[0]
+
+
+# ----------------------------------------------------------------------
+# fault injection
+# ----------------------------------------------------------------------
+
+def perturb_cube(monkeypatch, call=1):
+    """Add one to entry (9, 7) of the block that the call-th
+    assemble_cube returns, so that a conjugation check must fail."""
+    assemble, calls = decomp3d.assemble_cube, []
+
+    def perturbed(ring, a, l):
+        blk, prof = assemble(ring, a, l)
+        calls.append(None)
+        if len(calls) == call:
+            blk[9, 7] = ring.add(blk[9, 7], ring.one)
+        return blk, prof
+
+    monkeypatch.setattr(decomp3d, "assemble_cube", perturbed)

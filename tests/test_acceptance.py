@@ -131,7 +131,7 @@ def test_criterion_05_cube_conjugation_symbolic():
     want = ring.mul(ring.add(pos, neg), ring.add(pos, neg))
     # each basis matrix is 4x4 over F2[a11..a33], so its determinant is
     # the constant term of its (division-free) characteristic polynomial
-    dets_ok = all(charpoly(m)[0] == want for m in basis.as_list())
+    dets_ok = all(charpoly(m)[0] == want for m in basis)
     ok = rep.verdict.ok and dets_ok and time.time() - t0 < 60.0
     _report(5, "cube conjugation and thick determinants over F2[a11..a33]",
             ok, t0)

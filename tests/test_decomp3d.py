@@ -9,7 +9,7 @@ from cubeblocks.fieldmat import scalar_of
 from cubeblocks.fields import FiniteField
 from cubeblocks.lattice import BrickSpec, assemble_block, evolve
 from cubeblocks.matrices import RingMatrix, mat_det
-from reference import resolve_line_ordering, symmetrize_brick
+from reference import perturb_cube, resolve_line_ordering, symmetrize_brick
 
 
 # ----------------------------------------------------------------------
@@ -79,8 +79,28 @@ def test_thick_basis_determinants_sampled():
     pos = f.mul(f.mul(a[0][1], a[1][2]), a[2][0])
     neg = f.mul(f.mul(a[0][2], a[2][1]), a[1][0])
     want = f.pow(f.add(pos, neg), 2)
-    for m in basis.as_list():
+    for m in basis:
         assert mat_det(m) == want
+
+
+# ----------------------------------------------------------------------
+# conjugation failures
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["symbolic", "sampled"])
+def test_cube_conjugation_failure_witness(mode, monkeypatch):
+    perturb_cube(monkeypatch)
+    rep = D.verify_decomposition_3d(mode, seed=2)
+    assert not rep.verdict.ok and not rep.degenerate
+    assert rep.verdict.witness == {"entry": [8, 7], "mode": mode}
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "sampled"])
+def test_symmetric_conjugation_failure_witness(mode, monkeypatch):
+    perturb_cube(monkeypatch)
+    rep = D.verify_symmetric_decomposition("simple", mode=mode, seed=8)
+    assert not rep.verdict.ok
+    assert rep.verdict.witness == {"entry": [8, 7], "level": "simple", "mode": mode}
 
 
 # ----------------------------------------------------------------------
@@ -213,6 +233,19 @@ def test_symmetric_double_symbolic():
     rep = D.verify_symmetric_decomposition("double")
     assert rep.verdict.ok
     assert rep.summands == [("SimpleSymmetric", 4), ("DoubleBrick", 2)]
+
+
+def test_symmetric_double_is_symbolic_only():
+    with pytest.raises(InputError):
+        D.verify_symmetric_decomposition("double", mode="sampled")
+
+
+@pytest.mark.parametrize("check", [D.verify_decomposition_2d, D.verify_decomposition_3d,
+                                   D.verify_symmetric_decomposition])
+def test_unknown_mode_is_rejected(check):
+    # a mode that no branch implements must not run the sampled check
+    with pytest.raises(InputError):
+        check(mode="exact")
 
 
 def test_symmetric_sampled():

@@ -8,7 +8,7 @@ from cubeblocks.census import BoundaryConditions
 from cubeblocks.errors import InputError, SingularMatrixError
 from cubeblocks.fields import FiniteField
 from cubeblocks.matrices import RingMatrix, mat_det, mat_inverse
-from reference import circulant_det_charp
+from reference import circulant_det_charp, perturb_cube
 
 F = FiniteField(2, 8)
 
@@ -145,6 +145,17 @@ def test_stratification_n1():
             assert rep.verdict.ok, (case, rep.verdict.witness)
             assert sum(m for _, m in rep.summands) == 8
             done[case] += 1
+
+
+@pytest.mark.parametrize("case", X.CASES)
+def test_stratification_conjugation_failure_witness(case, monkeypatch):
+    # the block of the second step's brick is perturbed; the first passes
+    perturb_cube(monkeypatch, call=2)
+    b = _brick([[12, 200, 7, 33], [5, 91, 140, 2], [250, 3, 66, 17],
+                [9, 128, 45, 0]])
+    rep = X.verify_stratification(b, 2, case)
+    assert not rep.verdict.ok
+    assert rep.verdict.witness == {"failed": "conjugation", "step": 1}
 
 
 def test_stratification_requires_b44_zero():

@@ -71,6 +71,15 @@ def test_total_degree_and_terms():
     assert len(p.terms) == 3
 
 
+def test_term_order_is_unobservable():
+    ring = PolyRing(VARS, 3)
+    a, b, c = ring.gens()
+    x, y = a * b + c * c + ring.const(2), ring.const(2) + c * c + b * a
+    assert list(x.terms) != list(y.terms)
+    assert x == y and hash(x) == hash(y)
+    assert repr(x) == repr(y) == "a*b + c^2 + 2"
+
+
 # ----------------------------------------------------------------------
 # shift algebra
 # ----------------------------------------------------------------------

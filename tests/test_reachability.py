@@ -99,7 +99,8 @@ def _defined() -> dict:
 
 def _entered() -> set:
     # a cached result would skip a function body, so start from cold caches
-    for fn in (decomp3d._b3_pass, fields.find_irreducible, fieldmat._tensor):
+    for fn in (cli.build_parser, decomp3d._b3_pass, fields.find_irreducible,
+               fieldmat._tensor):
         fn.cache_clear()
     codes_seen = set()
 
