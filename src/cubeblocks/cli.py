@@ -76,8 +76,7 @@ def _emit(report: dict, args) -> None:
 
 
 def _status(results: list[dict]) -> tuple[str, int]:
-    """Overall verdict: degenerate runs are listed but never count
-    against verification."""
+    """Overall verdict: falsified when any result is, else verified."""
     verdicts = [r.get("verdict") for r in results]
     if any(v == "falsified" for v in verdicts):
         return "falsified", EXIT_FALSIFIED

@@ -112,6 +112,26 @@ def mixed_product_difference(ring, a):
     return ring.sub(pos, neg)
 
 
+def sample_brick(case: str, field: FiniteField, rng: random.Random) -> list[list[int]]:
+    """Entry rows of a random brick of one evolution case: "2d" draws
+    a11 and a22, then nonzero a12 and a21; "3d-generic" draws nine
+    nonzero entries until a12 a23 a31 != a13 a32 a21; "3d-symmetric"
+    draws the SYM_VARS, all nonzero."""
+    if case == "2d":
+        a11, a22 = field.sample(rng), field.sample(rng)
+        a12, a21 = field.sample_nonzero(rng), field.sample_nonzero(rng)
+        return [[a11, a12], [a21, a22]]
+    if case == "3d-generic":
+        while True:
+            a = [[field.sample_nonzero(rng) for _ in range(3)] for _ in range(3)]
+            if mixed_product_difference(field, a) != field.zero:
+                return a
+    if case == "3d-symmetric":
+        vals = {v: field.sample_nonzero(rng) for v in SYM_VARS}
+        return [[vals[f"a{min(i, j)}{max(i, j)}"] for j in (1, 2, 3)] for i in (1, 2, 3)]
+    raise InputError(f"unknown brick case {case!r}")
+
+
 # ----------------------------------------------------------------------
 # Cube assembly and full-basis conjugation identities
 # ----------------------------------------------------------------------
@@ -159,51 +179,31 @@ class DecompositionReport:
     summands: list
     frobenius_power: int
     verdict: Verdict
-    degenerate: bool = False
     details: dict = dc_field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
             "summands": [[tag, mult] for tag, mult in self.summands],
             "frobenius_power": self.frobenius_power,
-            "verdict": ("degenerate" if self.degenerate
-                        else "verified" if self.verdict.ok else "falsified"),
+            "verdict": "verified" if self.verdict.ok else "falsified",
             "ordering": [list(s) for s in RESOLVED_LINE_ORDERING],
             "report": self.verdict.to_json(),
             "details": self.details,
         }
 
 
-def verify_decomposition_3d(mode: str = "symbolic", field: FiniteField | None = None,
-                            entries=None, seed: int = 0) -> DecompositionReport:
+def verify_decomposition_3d(mode: str = "symbolic", seed: int = 0) -> DecompositionReport:
     """Check that the 2x2x2 block of a 3x3 char-2 brick is conjugate, by
     the explicit thick bases, to (transposed squared brick) + 3 x
-    (squared brick)."""
+    (squared brick).  Sampled, the brick is a generic one over
+    GF(2^SAMPLE_DEGREE); each thick-basis determinant is then
+    (a12 a23 a31 + a13 a32 a21)^2, so a singular basis falsifies."""
     summands = [("TransposedBrick", 1), ("Brick", 3)]
     if mode == "symbolic":
         ring, a = generic_brick_ring()
     elif mode == "sampled":
-        if field is None:
-            field = FiniteField(2, SAMPLE_DEGREE)
-        if field.p != 2:
-            raise InputError("the cube decomposition needs characteristic 2")
-        ring = field
-        if entries is None:
-            rng = random.Random(seed)
-            a = [[field.sample_nonzero(rng) for _ in range(3)] for _ in range(3)]
-        else:
-            a = [list(row) for row in entries]
-        if mixed_product_difference(ring, a) == ring.zero:
-            pos = ring.mul(ring.mul(a[0][1], a[1][2]), a[2][0])
-            if pos != ring.zero:
-                rep = verify_symmetric_decomposition(
-                    "simple", mode="sampled", field=field, entries=a, seed=seed)
-                rep.details["routed_from"] = "cube-decomposition"
-                return rep
-            return DecompositionReport(
-                summands, 2, Verdict(True, details={"reason": "degenerate"}),
-                degenerate=True,
-                details={"reason": "both triple products vanish"})
+        ring = FiniteField(2, SAMPLE_DEGREE)
+        a = sample_brick("3d-generic", ring, random.Random(seed))
     else:
         raise InputError(f"unknown mode {mode!r}")
     blk, _ = assemble_cube(ring, a, 2)
@@ -215,16 +215,14 @@ def verify_decomposition_3d(mode: str = "symbolic", field: FiniteField | None = 
     details = {"mode": mode}
     if mode == "sampled":
         if any(mat_det(m) == ring.zero for m in thick_basis_matrices(ring, a)):
-            return DecompositionReport(
-                summands, 2, Verdict(True, details={"reason": "degenerate"}),
-                degenerate=True, details={"reason": "singular thick basis"})
+            return DecompositionReport(summands, 2, Verdict(False, witness={
+                "failed": "singular thick basis", "mode": mode}))
         details["basis_dets_nonzero"] = True
     return DecompositionReport(summands, 2, Verdict(True, details=details),
                                details=details)
 
 
-def verify_decomposition_2d(mode: str = "symbolic", field: FiniteField | None = None,
-                            entries=None, seed: int = 0) -> DecompositionReport:
+def verify_decomposition_2d(mode: str = "symbolic", seed: int = 0) -> DecompositionReport:
     """2x2 block: exact integer-coefficient form, then the char-2 split
     into two squared copies via the cleared basis (e1, e2, e1 R12, e2 R12)."""
     summands = [("Brick", 2)]
@@ -249,15 +247,8 @@ def verify_decomposition_2d(mode: str = "symbolic", field: FiniteField | None = 
         ring = PolyRing(("a", "b", "c", "d"), 2)
         a, b, c, d = ring.gens()
     else:
-        if field is None:
-            field = FiniteField(2, SAMPLE_DEGREE)
-        ring = field
-        if entries is None:
-            rng = random.Random(seed)
-            a, d = field.sample(rng), field.sample(rng)
-            b, c = field.sample_nonzero(rng), field.sample_nonzero(rng)
-        else:
-            (a, b), (c, d) = entries
+        ring = FiniteField(2, SAMPLE_DEGREE)
+        (a, b), (c, d) = sample_brick("2d", ring, random.Random(seed))
     brick = BrickSpec(2, (1, 1), RingMatrix.from_rows(ring, [[a, b], [c, d]]))
     blk, prof = assemble_block(brick, LatticeSpec(2, l=2))
     bp = prof.block_profile
@@ -290,11 +281,6 @@ def verify_decomposition_2d(mode: str = "symbolic", field: FiniteField | None = 
         [b2c2, z, sq(d), z],
         [z, b2c2, z, sq(d)]])
     checks["cleared_conjugation"] = _conjugation_mismatch(p_hat, blk, sigma_hat) is None
-    if mode == "sampled":
-        if b == ring.zero or c == ring.zero:
-            return DecompositionReport(
-                summands, 2, Verdict(True, details={"reason": "degenerate"}),
-                degenerate=True, details={"reason": "b or c vanishes"})
     if not all(checks.values()):
         failing = [k for k, v in checks.items() if not v]
         return DecompositionReport(summands, 2, Verdict(
@@ -554,8 +540,7 @@ def _sigma_symmetric(ring, a) -> RingMatrix:
 
 
 def verify_symmetric_decomposition(level: str = "simple", mode: str = "symbolic",
-                                   field: FiniteField | None = None,
-                                   entries=None, seed: int = 0) -> DecompositionReport:
+                                   seed: int = 0) -> DecompositionReport:
     """Conjugation identity for a symmetric brick: two squared simple
     summands plus one 6x6 double summand; at the double-brick level,
     checked symbolically only, four simple plus two double."""
@@ -565,30 +550,8 @@ def verify_symmetric_decomposition(level: str = "simple", mode: str = "symbolic"
         if mode == "symbolic":
             ring, a = symmetric_brick_ring()
         else:
-            if field is None:
-                field = FiniteField(2, SAMPLE_DEGREE)
-            ring = field
-            if entries is None:
-                rng = random.Random(seed)
-                while True:
-                    vals = {v: field.sample_nonzero(rng) for v in SYM_VARS}
-                    a = [[vals[f"a{min(i, j)}{max(i, j)}"] for j in (1, 2, 3)]
-                         for i in (1, 2, 3)]
-                    if field.mul(field.mul(a[0][1], a[0][2]), a[1][2]) != field.zero:
-                        break
-            else:
-                a = [list(row) for row in entries]
-                for i in range(3):
-                    for j in range(3):
-                        if a[i][j] != a[j][i]:
-                            raise InputError("brick is not symmetric")
-                if (a[0][1] == field.zero or a[0][2] == field.zero
-                        or a[1][2] == field.zero):
-                    return DecompositionReport(
-                        [("SimpleSymmetric", 2), ("DoubleBrick", 1)], 2,
-                        Verdict(True, details={"reason": "degenerate"}),
-                        degenerate=True,
-                        details={"reason": "an off-diagonal entry vanishes"})
+            ring = FiniteField(2, SAMPLE_DEGREE)
+            a = sample_brick("3d-symmetric", ring, random.Random(seed))
         summands = [("SimpleSymmetric", 2), ("DoubleBrick", 1)]
     elif level == "double":
         if mode != "symbolic":
@@ -695,20 +658,7 @@ def detect_evolution_summands(case: str, n: int, seed: int = 0,
         field = FiniteField(2, SAMPLE_DEGREE)
     rng = random.Random(seed)
     census = evolution_census_closed_form(case, n)
-    if entries is not None:
-        a = [list(row) for row in entries]
-    elif case == "2d":
-        a11, a22 = field.sample(rng), field.sample(rng)
-        a12, a21 = field.sample_nonzero(rng), field.sample_nonzero(rng)
-        a = [[a11, a12], [a21, a22]]
-    elif case == "3d-generic":
-        while True:
-            a = [[field.sample_nonzero(rng) for _ in range(3)] for _ in range(3)]
-            if mixed_product_difference(field, a) != field.zero:
-                break
-    else:
-        vals = {v: field.sample_nonzero(rng) for v in SYM_VARS}
-        a = [[vals[f"a{min(i, j)}{max(i, j)}"] for j in (1, 2, 3)] for i in (1, 2, 3)]
+    a = sample_brick(case, field, rng) if entries is None else [list(row) for row in entries]
     e = 2 ** n
     tilde = RingMatrix.from_rows(field, [[field.pow(x, e) for x in row] for row in a])
     # 3d-generic pairs the Frobenius-twisted brick with its transpose and

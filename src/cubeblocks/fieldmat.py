@@ -255,14 +255,6 @@ def scalar_of(field: FiniteField, arr: np.ndarray) -> int | None:
     return c
 
 
-def _scalar_regular(field: FiniteField, v: int) -> np.ndarray:
-    """The regular representation of the field element v, by one product:
-    row s holds x^s * v."""
-    coeffs = np.array(field.coeffs(v), dtype=np.int64)
-    reg = _product(field.p, coeffs, _tensor(field), field.p - 1, field.p - 1)[0]
-    return reg.reshape(field.m, field.m)
-
-
 def _clear(field: FiniteField, a: np.ndarray, r: int, c: int, rows: np.ndarray) -> None:
     """Subtract from each of rows its column-c multiple of the unit-pivot
     row r, from column c rightwards (everything left of c is zero in r):
@@ -295,7 +287,8 @@ def _forward(field: FiniteField, a: np.ndarray) -> tuple[list[int], list[int], i
         val = _entry(field, a[r, c])
         inv = field.inv(val)
         if inv != field.one:
-            a[r, c:] = mul_regular(field, a[r, c:, None], _scalar_regular(field, inv))[:, 0]
+            reg = regular(field, scalar_matrix(field, 1, inv))
+            a[r, c:] = mul_regular(field, a[r, c:, None], reg)[:, 0]
         _clear(field, a, r, c, r + 1 + np.flatnonzero(a[r + 1:, c].any(axis=1)))
         pivots.append(c)
         values.append(val)
@@ -349,7 +342,8 @@ def hessenberg(field: FiniteField, a: np.ndarray) -> np.ndarray:
         if not h[c + 2:, c].any():
             continue
         inv = field.inv(_entry(field, h[c + 1, c]))
-        t = mul_regular(field, h[c + 2:, c, None], _scalar_regular(field, inv))
+        t = mul_regular(field, h[c + 2:, c, None],
+                        regular(field, scalar_matrix(field, 1, inv)))
         # rows c+2.. minus t times row c+1, then column c+1 plus the
         # columns c+2.. times t: G h G^-1 with G = 1 - t e_{c+1}^T
         h[c + 2:, c:] = sub(field, h[c + 2:, c:],

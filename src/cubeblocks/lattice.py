@@ -119,7 +119,6 @@ class BrickSpec:
         self.d = d
         self.thin_dims = thin_dims
         self.matrix = matrix
-        self.profile = BlockProfile(thin_dims)
 
     @property
     def ring(self):

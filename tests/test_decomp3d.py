@@ -30,12 +30,15 @@ def test_2d_symbolic():
 
 
 def test_2d_sampled_and_degenerate():
-    f = FiniteField(2, 16)
-    rep = D.verify_decomposition_2d("sampled", field=f, seed=1)
-    assert rep.verdict.ok and not rep.degenerate
-    rep = D.verify_decomposition_2d("sampled", field=f,
-                                    entries=[[3, 0], [5, 7]])
-    assert rep.degenerate
+    rep = D.verify_decomposition_2d("sampled", seed=1)
+    assert rep.verdict.ok
+    # the split needs nonzero off-diagonal entries, and the sampler never
+    # draws a brick without them
+    f = FiniteField(2, 4)
+    rng = random.Random(1)
+    for _ in range(200):
+        (_, a12), (a21, _) = D.sample_brick("2d", f, rng)
+        assert a12 != f.zero and a21 != f.zero
 
 
 # ----------------------------------------------------------------------
@@ -51,24 +54,36 @@ def test_cube_symbolic():
 
 def test_cube_sampled():
     rep = D.verify_decomposition_3d("sampled", seed=2)
-    assert rep.verdict.ok
+    assert rep.verdict.ok and rep.details["basis_dets_nonzero"]
 
 
-def test_cube_routes_symmetric_inputs():
-    f = FiniteField(2, 16)
+def test_cube_sampled_redraws_equal_triple_products():
+    # the first brick drawn at seed 2263 has a12 a23 a31 = a13 a32 a21
+    f = FiniteField(2, D.SAMPLE_DEGREE)
+    rng = random.Random(2263)
+    first = [[f.sample_nonzero(rng) for _ in range(3)] for _ in range(3)]
+    assert D.mixed_product_difference(f, first) == f.zero
+    a = D.sample_brick("3d-generic", f, random.Random(2263))
+    assert a != first and D.mixed_product_difference(f, a) != f.zero
+
+
+def test_cube_singular_thick_basis_is_falsified(monkeypatch):
+    monkeypatch.setattr(D, "mat_det", lambda m: m.ring.zero)
+    rep = D.verify_decomposition_3d("sampled", seed=2)
+    assert rep.to_json()["verdict"] == "falsified"
+    assert rep.verdict.witness == {"failed": "singular thick basis", "mode": "sampled"}
+
+
+def test_sample_brick_cases():
+    f = FiniteField(2, 4)
     rng = random.Random(3)
-    vals = {v: f.sample_nonzero(rng) for v in D.SYM_VARS}
-    a = [[vals[f"a{min(i, j)}{max(i, j)}"] for j in (1, 2, 3)] for i in (1, 2, 3)]
-    rep = D.verify_decomposition_3d("sampled", field=f, entries=a)
-    assert rep.verdict.ok
-    assert rep.details.get("routed_from") == "cube-decomposition"
-
-
-def test_cube_degenerate_when_both_products_vanish():
-    f = FiniteField(2, 16)
-    a = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    rep = D.verify_decomposition_3d("sampled", field=f, entries=a)
-    assert rep.degenerate
+    for _ in range(50):
+        a = D.sample_brick("3d-generic", f, rng)
+        assert D.mixed_product_difference(f, a) != f.zero
+        a = D.sample_brick("3d-symmetric", f, rng)
+        assert all(a[i][j] == a[j][i] != f.zero for i in range(3) for j in range(3))
+    with pytest.raises(InputError):
+        D.sample_brick("4d", f, rng)
 
 
 def test_thick_basis_determinants_sampled():
@@ -91,7 +106,7 @@ def test_thick_basis_determinants_sampled():
 def test_cube_conjugation_failure_witness(mode, monkeypatch):
     perturb_cube(monkeypatch)
     rep = D.verify_decomposition_3d(mode, seed=2)
-    assert not rep.verdict.ok and not rep.degenerate
+    assert not rep.verdict.ok
     assert rep.verdict.witness == {"entry": [8, 7], "mode": mode}
 
 
@@ -206,11 +221,7 @@ def test_symmetrize_brick():
 
 def test_symmetrize_rejects_generic_brick():
     f = FiniteField(2, 8)
-    rng = random.Random(7)
-    while True:
-        a = [[f.sample_nonzero(rng) for _ in range(3)] for _ in range(3)]
-        if D.mixed_product_difference(f, a) != f.zero:
-            break
+    a = D.sample_brick("3d-generic", f, random.Random(7))
     with pytest.raises(InputError):
         symmetrize_brick(f, RingMatrix.from_rows(f, a))
 
@@ -250,7 +261,7 @@ def test_unknown_mode_is_rejected(check):
 
 def test_symmetric_sampled():
     rep = D.verify_symmetric_decomposition("simple", mode="sampled", seed=8)
-    assert rep.verdict.ok and not rep.degenerate
+    assert rep.verdict.ok
 
 
 # ----------------------------------------------------------------------
@@ -301,11 +312,7 @@ def test_detection_witness_matches_per_point_loop(seed, monkeypatch):
     # squared).  The witness must be the first failing point in the order
     # of the sampled points, as a loop of one elimination per point finds.
     field = FiniteField(2, 8)
-    rng = random.Random(seed)
-    while True:
-        a = [[field.sample_nonzero(rng) for _ in range(3)] for _ in range(3)]
-        if D.mixed_product_difference(field, a) != field.zero:
-            break
+    a = D.sample_brick("3d-generic", field, random.Random(seed))
     brick = BrickSpec(3, (1, 1, 1), RingMatrix.from_rows(field, a))
     block = evolve(brick, 1, 2)[-1][0]
     block[0, 0] = field.add(block[0, 0], field.one)
