@@ -326,7 +326,14 @@ def _b3_degrees(p: int) -> tuple[int, int]:
     the pair products have degree 2p^3 and M = R12 R23 R31 degree 3p^3.
     The spectrum claim tests (M - lam1)(M - lam2), of degree 6p^3, and
     each expected rank r of M - lam through the (r+1)-minors, of degree
-    (r+1) 3p^3; it takes the largest."""
+    (r+1) 3p^3; it takes the largest.
+
+    The check takes one rank and infers the other from rank(M - lam1) +
+    rank(M - lam2) = n, which holds once the annihilator does and lam1 !=
+    lam2; the reported degree still bounds every polynomial tested, so it
+    stays a valid, conservative bound.  A passing point with lam1 != lam2
+    already forces both ranks over F_p(a), so 6p^3 would suffice, but that
+    tightening changes the reports."""
     ranks = (p * (p - 1) // 2, p * (p + 1) // 2)
     return 2 * p ** 3, max(6 * p ** 3, *((r + 1) * 3 * p ** 3 for r in ranks))
 
@@ -337,9 +344,10 @@ def _scalar_failure_symbolic(ring, a, sub):
         if sub(i, i) != RingMatrix.scalar(ring, 4, sq(a[i][i])):
             return {"block": [i, i]}
     for k, l in ((0, 1), (0, 2), (1, 2)):
+        # s is a nonzero monomial, so R_kl R_lk = s I makes R_kl invertible
+        # over the fraction field and R_lk R_kl = s I follows
         s = ring.mul(sq(a[k][l]), sq(a[l][k]))
-        if not (sub(k, l) @ sub(l, k) == sub(l, k) @ sub(k, l)
-                == RingMatrix.scalar(ring, 4, s)):
+        if sub(k, l) @ sub(l, k) != RingMatrix.scalar(ring, 4, s):
             return {"pair": [k, l]}
     return None
 
@@ -370,12 +378,15 @@ def _scalar_failure_sampled(field, p, trial, a, blocks, n, exponents):
             return {"trial": trial, "block": [i, i], "entries": a}
     for k, l in ((0, 1), (0, 2), (1, 2)):
         fwd = fieldmat.matmul(field, blocks[k, l], blocks[l, k])
-        bwd = fieldmat.matmul(field, blocks[l, k], blocks[k, l])
-        if not np.array_equal(fwd, bwd):
-            return {"trial": trial, "pair": [k, l], "failed": "commutation"}
         s = fieldmat.scalar_of(field, fwd)
-        if s is None:
-            return {"trial": trial, "pair": [k, l], "failed": "scalar"}
+        # X Y = s I with s != 0 makes X invertible, so Y X = s I as well;
+        # otherwise the reverse product decides the witness
+        if s is None or s == field.zero:
+            bwd = fieldmat.matmul(field, blocks[l, k], blocks[k, l])
+            if not np.array_equal(fwd, bwd):
+                return {"trial": trial, "pair": [k, l], "failed": "commutation"}
+            if s is None:
+                return {"trial": trial, "pair": [k, l], "failed": "scalar"}
         # the first t in 1..2p with base^t = s, by a running product
         base = field.mul(a[k][l], a[l][k])
         power = field.one
@@ -398,8 +409,11 @@ def _spectrum_failure_sampled(field, p, trial, a, blocks, n):
     d2 = fieldmat.sub(field, m_arr, fieldmat.scalar_matrix(field, n, lam2))
     if np.any(fieldmat.matmul(field, d1, d2)):
         return {"trial": trial, "failed": "minimal polynomial"}
+    # with (M - lam1)(M - lam2) = 0 and (lam2 - lam1) I invertible, Sylvester's
+    # rank inequality gives rank(d1) + rank(d2) = n; if lam1 = lam2, d1 = d2
     expected = [p * (p - 1) // 2, p * (p + 1) // 2]
-    observed = [fieldmat.rank(field, d2), fieldmat.rank(field, d1)]
+    r2 = fieldmat.rank(field, d2)
+    observed = [r2, n - r2 if lam1 != lam2 else r2]
     if observed != expected:
         return {"trial": trial, "failed": "multiplicities",
                 "observed": observed, "expected": expected}

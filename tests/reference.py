@@ -5,9 +5,10 @@ here build test inputs (random bricks, random linear extensions, random
 polynomials), serve as independent references (the row-major block
 assembly and its per-vertex slot lookup, the convolution product in
 GF(p^m), row kernels, image tables, the full-system census rank, the
-circulant determinant formula), re-derive an acceptance criterion (the
-line-ordering search, gauges and symmetrization) or inject a fault (a
-perturbed cube block).
+circulant determinant formula, the two-product scalar and two-rank
+spectrum checks of the sampled b3 claims), re-derive an acceptance
+criterion (the line-ordering search, gauges and symmetrization) or inject
+a fault (a perturbed cube block).
 """
 
 from __future__ import annotations
@@ -386,19 +387,68 @@ def resolve_line_ordering(seed: int = 2026, m: int = 16):
 
 
 # ----------------------------------------------------------------------
+# sampled b3 checks that compute every product and rank they compare
+# ----------------------------------------------------------------------
+
+def scalar_failure_two_products(field, p, trial, a, blocks, n, exponents):
+    """decomp3d._scalar_failure_sampled with both pair products formed
+    for every pair and compared before the scalar test."""
+    for i in range(3):
+        want = fieldmat.scalar_matrix(field, n, field.pow(a[i][i], p))
+        if not np.array_equal(blocks[i, i], want):
+            return {"trial": trial, "block": [i, i], "entries": a}
+    for k, l in ((0, 1), (0, 2), (1, 2)):
+        fwd = fieldmat.matmul(field, blocks[k, l], blocks[l, k])
+        bwd = fieldmat.matmul(field, blocks[l, k], blocks[k, l])
+        if not np.array_equal(fwd, bwd):
+            return {"trial": trial, "pair": [k, l], "failed": "commutation"}
+        s = fieldmat.scalar_of(field, fwd)
+        if s is None:
+            return {"trial": trial, "pair": [k, l], "failed": "scalar"}
+        base = field.mul(a[k][l], a[l][k])
+        power = field.one
+        for t in range(1, 2 * p + 1):
+            power = field.mul(power, base)
+            if power == s:
+                exponents.add(t)
+                break
+        else:
+            return {"trial": trial, "pair": [k, l], "failed": "exponent"}
+    return None
+
+
+def spectrum_failure_two_ranks(field, p, trial, a, blocks, n):
+    """decomp3d._spectrum_failure_sampled with both ranks eliminated."""
+    m_arr = fieldmat.matmul(field, fieldmat.matmul(
+        field, blocks[0, 1], blocks[1, 2]), blocks[2, 0])
+    lam1 = field.pow(field.mul(field.mul(a[0][2], a[2][1]), a[1][0]), p)
+    lam2 = field.pow(field.mul(field.mul(a[0][1], a[1][2]), a[2][0]), p)
+    d1 = fieldmat.sub(field, m_arr, fieldmat.scalar_matrix(field, n, lam1))
+    d2 = fieldmat.sub(field, m_arr, fieldmat.scalar_matrix(field, n, lam2))
+    if np.any(fieldmat.matmul(field, d1, d2)):
+        return {"trial": trial, "failed": "minimal polynomial"}
+    expected = [p * (p - 1) // 2, p * (p + 1) // 2]
+    observed = [fieldmat.rank(field, d2), fieldmat.rank(field, d1)]
+    if observed != expected:
+        return {"trial": trial, "failed": "multiplicities",
+                "observed": observed, "expected": expected}
+    return None
+
+
+# ----------------------------------------------------------------------
 # fault injection
 # ----------------------------------------------------------------------
 
-def perturb_cube(monkeypatch, call=1):
-    """Add one to entry (9, 7) of the block that the call-th
-    assemble_cube returns, so that a conjugation check must fail."""
+def perturb_cube(monkeypatch, call=1, entry=(9, 7)):
+    """Add one to the given entry of the block that the call-th
+    assemble_cube returns, so that a check on that entry must fail."""
     assemble, calls = decomp3d.assemble_cube, []
 
     def perturbed(ring, a, l):
         blk, prof = assemble(ring, a, l)
         calls.append(None)
         if len(calls) == call:
-            blk[9, 7] = ring.add(blk[9, 7], ring.one)
+            blk[entry] = ring.add(blk[entry], ring.one)
         return blk, prof
 
     monkeypatch.setattr(decomp3d, "assemble_cube", perturbed)

@@ -291,6 +291,40 @@ def test_b3_without_trials_is_exit_2(trials, capsys):
     assert captured.err == f"error: need at least one trial, got {trials}\n"
 
 
+def test_b3_cap_dim_refuses_before_assembly(capsys, monkeypatch):
+    # the p = 11 block has dimension 3 * 11^2 = 363
+    def fail(*args, **kwargs):
+        raise AssertionError("assemble_block called")
+    monkeypatch.setattr(decomp3d, "assemble_block", fail)
+    decomp3d._b3_pass.cache_clear()
+    assert main(["verify", "b3", "--p", "11", "--cap-dim", "100",
+                 "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: block dimension 363 exceeds --cap-dim 100\n"
+
+
+def test_verify_all_runs_the_chain_algebra_suite_once(capsys, monkeypatch):
+    # dim4 repeats the algebra results in its report without recomputing
+    # them: one stratification per case, where recomputing made two
+    calls = []
+    stratification = dim4.verify_stratification
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return stratification(*args, **kwargs)
+
+    monkeypatch.setattr(dim4, "verify_stratification", counting)
+    code, rep = _run_json(["verify", "all", "--no-timestamp"], capsys)
+    assert code == 0 and len(rep["results"]) == 26
+    assert calls == list(dim4.CASES)
+    algebra = [r for r in rep["results"] if r["name"].startswith("chain-algebra")]
+    assert len(algebra) == 4 and algebra[:2] == algebra[2:]
+    # dim4 on its own still computes them
+    code, rep = _run_json(["verify", "dim4", "--no-timestamp"], capsys)
+    assert code == 0 and calls == list(dim4.CASES) * 2
+
+
 def _case_brick(case, rng):
     """A GF(2^8) brick whose evolve report names the given case."""
     f = FiniteField(2, 8)

@@ -8,8 +8,11 @@ from cubeblocks.errors import InputError
 from cubeblocks.fieldmat import scalar_of
 from cubeblocks.fields import FiniteField
 from cubeblocks.lattice import BrickSpec, assemble_block, evolve
-from cubeblocks.matrices import RingMatrix, mat_det
-from reference import perturb_cube, resolve_line_ordering, symmetrize_brick
+from cubeblocks.matrices import RingMatrix, mat_det, mat_inverse
+from reference import (
+    perturb_cube, resolve_line_ordering, scalar_failure_two_products,
+    spectrum_failure_two_ranks, symmetrize_brick,
+)
 
 
 # ----------------------------------------------------------------------
@@ -191,6 +194,160 @@ def test_b3_scalar_failure_leaves_spectrum_checked(monkeypatch):
     assert len(calls) == 4
     assert spectrum.ok and spectrum.details["trials"] == 3
     assert spectrum.details["multiplicities"] == [3, 6]
+
+
+# The sampled checks skip work that identities already checked imply: the
+# reverse pair product when the forward one is a nonzero scalar, and the
+# rank of M - lam1 once (M - lam1)(M - lam2) = 0 holds.  Each must agree
+# with the reference that computes everything, witness for witness.
+
+def _both_checks(field, p, a, blocks, n):
+    got, want = set(), set()
+    scalar = (D._scalar_failure_sampled(field, p, 0, a, blocks, n, got),
+              scalar_failure_two_products(field, p, 0, a, blocks, n, want))
+    spectrum = (D._spectrum_failure_sampled(field, p, 0, a, blocks, n),
+                spectrum_failure_two_ranks(field, p, 0, a, blocks, n))
+    assert scalar[0] == scalar[1] and got == want
+    assert spectrum[0] == spectrum[1]
+    return scalar[0], spectrum[0]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_b3_shortcuts_match_reference_on_random_trials(p):
+    field, rng = FiniteField(p, D.SAMPLE_DEGREE), random.Random(p)
+    for _ in range(2):
+        a, blocks, n = D._sampled_cube_arrays(field, rng)
+        assert _both_checks(field, p, a, blocks, n) == (None, None)
+
+
+_F = FiniteField(3, 4)
+
+
+def _diag(values):
+    n = len(values)
+    return fieldmat.to_array(_F, RingMatrix.from_rows(
+        _F, [[values[i] if i == j else _F.zero for j in range(n)] for i in range(n)]))
+
+
+def _unit(n, *cells):
+    rows = [[_F.zero] * n for _ in range(n)]
+    for i, j in cells:
+        rows[i][j] = _F.one
+    return fieldmat.to_array(_F, RingMatrix.from_rows(_F, rows))
+
+
+def _crafted_brick(rng, equal_lambdas=False):
+    """A brick over GF(3^4) and its two eigenvalues (a13 a32 a21)^3 and
+    (a12 a23 a31)^3, equal or not as asked."""
+    while True:
+        a = [[_F.sample_nonzero(rng) for _ in range(3)] for _ in range(3)]
+        if equal_lambdas:
+            a[0][1] = _F.div(_F.mul(_F.mul(a[0][2], a[2][1]), a[1][0]),
+                             _F.mul(a[1][2], a[2][0]))
+        lam1 = _F.pow(_F.mul(_F.mul(a[0][2], a[2][1]), a[1][0]), 3)
+        lam2 = _F.pow(_F.mul(_F.mul(a[0][1], a[1][2]), a[2][0]), 3)
+        if (lam1 == lam2) == equal_lambdas:
+            return a, lam1, lam2
+
+
+def _spectrum_blocks(m_arr):
+    eye = fieldmat.eye(_F, 9)
+    return {(0, 1): m_arr, (1, 2): eye, (2, 0): eye}
+
+
+@pytest.mark.parametrize("case", ["expected", "equal", "wrong", "identity-fails"])
+def test_spectrum_shortcut_matches_reference_on_crafted_blocks(case):
+    rng = random.Random(4)
+    a, lam1, lam2 = _crafted_brick(rng, equal_lambdas=case == "equal")
+    if case == "expected":
+        # lam1 three times and lam2 six times, in a random basis
+        p_mat = RingMatrix.from_rows(_F, [[_F.sample(rng) for _ in range(9)]
+                                          for _ in range(9)])
+        while mat_det(p_mat) == _F.zero:
+            p_mat = RingMatrix.from_rows(_F, [[_F.sample(rng) for _ in range(9)]
+                                              for _ in range(9)])
+        m_arr = fieldmat.matmul(_F, fieldmat.matmul(
+            _F, fieldmat.to_array(_F, p_mat), _diag([lam1] * 3 + [lam2] * 6)),
+            fieldmat.to_array(_F, mat_inverse(p_mat)))
+        want = None
+    elif case == "equal":
+        # M = lam + N with N^2 = 0: the annihilator holds, ranks (1, 1)
+        m_arr = fieldmat.sub(_F, _diag([lam1] * 9), _unit(9, (0, 1)))
+        want = {"trial": 0, "failed": "multiplicities",
+                "observed": [1, 1], "expected": [3, 6]}
+    elif case == "wrong":
+        m_arr = _diag([lam1] * 4 + [lam2] * 5)
+        want = {"trial": 0, "failed": "multiplicities",
+                "observed": [4, 5], "expected": [3, 6]}
+    else:
+        m_arr = _diag([lam1] * 3 + [lam2] * 5 + [_F.zero])
+        want = {"trial": 0, "failed": "minimal polynomial"}
+    blocks = _spectrum_blocks(m_arr)
+    assert D._spectrum_failure_sampled(_F, 3, 0, a, blocks, 9) == want
+    assert spectrum_failure_two_ranks(_F, 3, 0, a, blocks, 9) == want
+
+
+@pytest.mark.parametrize("case", ["commutation", "scalar", "exponent-zero",
+                                  "exponent-nonzero", "passes"])
+def test_scalar_shortcut_matches_reference_on_crafted_blocks(case):
+    rng = random.Random(5)
+    a, _, _ = _crafted_brick(rng)
+    blocks = {(i, i): fieldmat.scalar_matrix(_F, 9, _F.pow(a[i][i], 3)) for i in range(3)}
+    powers = {}
+    for k, l in ((0, 1), (0, 2), (1, 2)):
+        base = _F.mul(a[k][l], a[l][k])
+        powers[k, l] = [_F.pow(base, t) for t in range(1, 7)]
+        # X Y = Y X = base^3 I, with X = a_kl I
+        blocks[k, l] = fieldmat.scalar_matrix(_F, 9, a[k][l])
+        blocks[l, k] = fieldmat.scalar_matrix(_F, 9, _F.div(powers[k, l][2], a[k][l]))
+    want = {"trial": 0, "pair": [0, 1], "failed": case.split("-")[0]}
+    if case == "commutation":
+        # X Y = 0, Y X = E_01
+        blocks[0, 1], blocks[1, 0] = _unit(9, (0, 1)), _unit(9, (0, 0))
+    elif case == "scalar":
+        blocks[0, 1] = blocks[1, 0] = _diag([_F.one] + [_F.zero] * 8)
+    elif case == "exponent-zero":
+        blocks[0, 1] = blocks[1, 0] = _unit(9, (0, 1))
+    elif case == "exponent-nonzero":
+        # a nonzero scalar that is no power base^t, t in 1..6
+        c = next(x for x in range(1, _F.q) if x not in powers[0, 1])
+        blocks[0, 1], blocks[1, 0] = fieldmat.eye(_F, 9), fieldmat.scalar_matrix(_F, 9, c)
+    else:
+        want = None
+    got, ref = set(), set()
+    assert D._scalar_failure_sampled(_F, 3, 0, a, blocks, 9, got) == want
+    assert scalar_failure_two_products(_F, 3, 0, a, blocks, 9, ref) == want
+    assert got == ref == ({3} if want is None else set())
+
+
+def test_b3_trial_takes_one_rank_and_six_products(monkeypatch):
+    counts = {"rank": 0, "matmul": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(fieldmat, name, counting(name, getattr(fieldmat, name)))
+    D._b3_pass.cache_clear()
+    scalar, spectrum = D._b3_pass(5, 3, 2)
+    D._b3_pass.cache_clear()
+    assert scalar.ok and spectrum.ok
+    assert counts == {"rank": 3, "matmul": 18}
+
+
+@pytest.mark.parametrize("entry,pair", [
+    ((1, 5), [0, 1]), ((5, 1), [0, 1]), ((1, 9), [0, 2]),
+    ((9, 1), [0, 2]), ((5, 9), [1, 2]), ((9, 7), [1, 2])])
+def test_symbolic_scalar_check_fails_on_a_perturbed_entry(entry, pair, monkeypatch):
+    # p = 2 forms only R_kl R_lk; a perturbed entry of either factor shows
+    perturb_cube(monkeypatch, entry=entry)
+    D._b3_pass.cache_clear()
+    scalar = D.verify_scalar_structure(2)
+    D._b3_pass.cache_clear()
+    assert not scalar.ok and scalar.witness == {"pair": pair}
 
 
 # ----------------------------------------------------------------------
