@@ -9,8 +9,8 @@ __version__ = "1.0.0"
 
 from .fields import FiniteField
 from .polys import MultiPoly, PolyRing
-from .matrices import RingMatrix, BlockProfile
-from .lattice import LatticeSpec, ThickProfile, BrickSpec, assemble_block, evolve
+from .matrices import RingMatrix
+from .lattice import LatticeSpec, BrickSpec, assemble_block, evolve
 from .census import BoundaryConditions, ConfigCount, count_configs
 from .pointmap import brute_force_census
 from .identity import Verdict, random_identity_check
@@ -29,8 +29,8 @@ from .dim4 import Brick4, reduce_chain_4d, nondegeneracy_4d, verify_stratificati
 
 __all__ = [
     "FiniteField",
-    "MultiPoly", "PolyRing", "RingMatrix", "BlockProfile",
-    "LatticeSpec", "ThickProfile", "BrickSpec", "assemble_block", "evolve",
+    "MultiPoly", "PolyRing", "RingMatrix",
+    "LatticeSpec", "BrickSpec", "assemble_block", "evolve",
     "BoundaryConditions", "ConfigCount", "count_configs",
     "brute_force_census",
     "Verdict", "random_identity_check",

@@ -46,7 +46,7 @@ class ConfigCount:
     e: int
 
 
-def build_constraint_system(r: RingMatrix, profile, bcs: BoundaryConditions) -> RingMatrix:
+def build_constraint_system(r: RingMatrix, spec, bcs: BoundaryConditions) -> RingMatrix:
     """The constraints left on the free slots, as a matrix C.
 
     x is permitted iff x (R - I) vanishes on the Periodic slots and x
@@ -59,14 +59,14 @@ def build_constraint_system(r: RingMatrix, profile, bcs: BoundaryConditions) -> 
     field = r.ring
     if not isinstance(field, FiniteField):
         raise InputError("constraint system needs a finite field matrix")
-    if len(bcs.tags) != profile.spec.d:
+    if len(bcs.tags) != spec.d:
         raise InputError("boundary conditions must cover every axis")
-    if r.rows != profile.total or r.cols != profile.total:
-        raise InputError("block does not match the profile")
+    if r.rows != spec.dimension or r.cols != spec.dimension:
+        raise InputError("block does not match the lattice")
     free: list[int] = []
     periodic: list[int] = []
     for axis, tag in enumerate(bcs.tags):
-        block = profile.block_profile.block_range(axis)
+        block = spec.block_range(axis)
         if tag != "ZeroInput":
             free.extend(block)
         if tag == "Periodic":
@@ -79,14 +79,14 @@ def build_constraint_system(r: RingMatrix, profile, bcs: BoundaryConditions) -> 
     return out
 
 
-def count_configs(r: RingMatrix, profile, bcs: BoundaryConditions) -> ConfigCount:
+def count_configs(r: RingMatrix, spec, bcs: BoundaryConditions) -> ConfigCount:
     field = r.ring
-    c = build_constraint_system(r, profile, bcs)
+    c = build_constraint_system(r, spec, bcs)
     return ConfigCount(field.p, field.q, c.rows - rank(c))
 
 
-def census_report(r: RingMatrix, profile, bcs: BoundaryConditions) -> dict:
+def census_report(r: RingMatrix, spec, bcs: BoundaryConditions) -> dict:
     """The rank census; a caller that runs the oracle sets oracle_checked."""
-    count = count_configs(r, profile, bcs)
+    count = count_configs(r, spec, bcs)
     return {"q": count.q, "exponent": count.e, "bcs": bcs.to_json(),
             "oracle_checked": False}

@@ -163,7 +163,10 @@ def _suite_diag3(args) -> list[dict]:
     ]
 
 
-def _suite_b3(args) -> list[dict]:
+def _b3_trials(args) -> int:
+    """The b3 trial count, after refusing a prime, block size or count
+    the suite cannot run; p = 2 is checked symbolically and reads no
+    trials, but a count below one is refused there too."""
     p = args.p
     if p not in B3_PRIMES:
         raise InputError(f"prime {p} not supported; choose one of {B3_PRIMES}")
@@ -171,6 +174,13 @@ def _suite_b3(args) -> list[dict]:
     trials = args.trials
     if trials is None:
         trials = 4 if p == 11 else 32
+    if trials < 1:
+        raise InputError(f"need at least one trial, got {trials}")
+    return trials
+
+
+def _suite_b3(args) -> list[dict]:
+    p, trials = args.p, _b3_trials(args)
     results = [
         _from_verdict(f"scalar-structure-p{p}", decomp3d.verify_scalar_structure(
             p, trials=trials, seed=args.seed)),
@@ -258,6 +268,8 @@ def cmd_verify(args) -> int:
         "dim4": _suite_dim4,
     }
     names = list(suites) if args.suite == "all" else [args.suite]
+    if "b3" in names:
+        _b3_trials(args)  # refuse bad b3 arguments before any suite runs
     by_name = {}
     for name in names:
         if name == "dim4" and "algebra" in by_name:
@@ -278,15 +290,11 @@ def cmd_verify(args) -> int:
 # assemble / census / evolve / reduce4d
 # ----------------------------------------------------------------------
 
-def _lattice_for(brick: BrickSpec, edge: int) -> LatticeSpec:
-    return LatticeSpec(brick.d, l=edge, thin_dims=brick.thin_dims)
-
-
 def cmd_assemble(args) -> int:
     brick = _load_brick(args.brick)
-    spec = _lattice_for(brick, args.edge)
+    spec = LatticeSpec(brick.d, args.edge, brick.thin_dims, args.ordering)
     _check_caps(spec.dimension, args)
-    blk, profile = assemble_block(brick, spec, ordering=args.ordering)
+    blk = assemble_block(brick, spec)
     report = _report_skeleton(args, "assemble")
     report["lattice"] = spec.to_json()
     report["dimension"] = blk.rows
@@ -297,7 +305,7 @@ def cmd_assemble(args) -> int:
 
 def cmd_census(args) -> int:
     brick = _load_brick(args.brick)
-    spec = _lattice_for(brick, args.edge)
+    spec = LatticeSpec(brick.d, args.edge, brick.thin_dims)
     dim = spec.dimension
     bcs = _parse_bcs(args.bcs, brick.d)
     if args.oracle:
@@ -310,12 +318,12 @@ def cmd_census(args) -> int:
                     f"{points} points exceeds --cap-points {args.cap_points}")
         check_points(q, dim, CENSUS_GUARD)
     _check_caps(dim, args)
-    blk, profile = assemble_block(brick, spec)
+    blk = assemble_block(brick, spec)
     report = _report_skeleton(args, "census")
     report["lattice"] = spec.to_json()
-    report["census"] = census_report(blk, profile, bcs)
+    report["census"] = census_report(blk, spec, bcs)
     if args.oracle:
-        oracle = brute_force_census(blk, profile, bcs)
+        oracle = brute_force_census(blk, spec, bcs)
         agree = oracle.e == report["census"]["exponent"]
         report["census"]["oracle_checked"] = True
         report["census"]["oracle_agrees"] = agree
@@ -331,10 +339,10 @@ def cmd_census(args) -> int:
 def cmd_evolve(args) -> int:
     brick = _load_brick(args.brick)
     field = brick.ring
-    stages = evolve(brick, args.steps, edge=2, cap=args.cap_dim)
+    stages = evolve(brick, args.steps, cap=args.cap_dim)
     report = _report_skeleton(args, "evolve")
     report["steps"] = args.steps
-    report["dimensions"] = [blk.rows for blk, _ in stages]
+    report["dimensions"] = [blk.rows for blk in stages]
     d = brick.d
     entries = [[brick.matrix[i, j] for j in range(brick.matrix.cols)]
                for i in range(brick.matrix.rows)]
@@ -353,11 +361,11 @@ def cmd_evolve(args) -> int:
         census = decomp3d.evolution_census_closed_form(case, args.steps)
         report["case"] = case
         report["predicted_counts"] = list(census.counts)
-        dim = stages[-1][0].rows if stages else 0
+        dim = stages[-1].rows
         if field.q > 2 * dim:
             verdict = decomp3d.detect_evolution_summands(
                 case, args.steps, seed=args.seed, field=field,
-                entries=entries, block=stages[-1][0])
+                entries=entries, block=stages[-1])
             report["detection"] = _from_verdict("summand-detection", verdict)
             if not verdict.ok:
                 report["status"] = "falsified"
@@ -448,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_asm = sub.add_parser("assemble", parents=[common],
-                           help="assemble the block of a brick over a box")
+                           help="assemble the block of a brick over a cube")
     p_asm.add_argument("--brick", required=True,
                        help="brick description: JSON text or a file path")
     p_asm.add_argument("--edge", type=int, default=2)

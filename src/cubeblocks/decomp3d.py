@@ -101,8 +101,9 @@ def thick_basis_rows(ring, a) -> tuple[list, list, list]:
     return t1, t2, t3
 
 
-def thick_basis_matrices(ring, a) -> list[RingMatrix]:
-    return [RingMatrix.from_rows(ring, rows) for rows in thick_basis_rows(ring, a)]
+def thick_basis_matrices(ring, rows) -> list[RingMatrix]:
+    """The three thick-space basis matrices from thick_basis_rows."""
+    return [RingMatrix.from_rows(ring, r) for r in rows]
 
 
 def mixed_product_difference(ring, a):
@@ -136,9 +137,14 @@ def sample_brick(case: str, field: FiniteField, rng: random.Random) -> list[list
 # Cube assembly and full-basis conjugation identities
 # ----------------------------------------------------------------------
 
-def assemble_cube(ring, a, l: int):
+def assemble_cube(ring, a, l: int) -> RingMatrix:
     return assemble_block(BrickSpec(3, (1, 1, 1), RingMatrix.from_rows(ring, a)),
-                          LatticeSpec(3, l=l))
+                          LatticeSpec(3, l))
+
+
+def _cube_sub(blk: RingMatrix, n: int):
+    """R_ij of a cube block with n lines per axis, as a function of i, j."""
+    return lambda i, j: blk.submatrix(range(i * n, (i + 1) * n), range(j * n, (j + 1) * n))
 
 
 def _stack_basis(ring, per_space_rows) -> RingMatrix:
@@ -206,15 +212,15 @@ def verify_decomposition_3d(mode: str = "symbolic", seed: int = 0) -> Decomposit
         a = sample_brick("3d-generic", ring, random.Random(seed))
     else:
         raise InputError(f"unknown mode {mode!r}")
-    blk, _ = assemble_cube(ring, a, 2)
-    bad = _conjugation_mismatch(_stack_basis(ring, thick_basis_rows(ring, a)), blk,
-                                _sigma_generic(ring, a))
+    blk = assemble_cube(ring, a, 2)
+    rows = thick_basis_rows(ring, a)
+    bad = _conjugation_mismatch(_stack_basis(ring, rows), blk, _sigma_generic(ring, a))
     if bad is not None:
         return DecompositionReport(summands, 2, Verdict(False, witness={
             "entry": bad, "mode": mode}))
     details = {"mode": mode}
     if mode == "sampled":
-        if any(mat_det(m) == ring.zero for m in thick_basis_matrices(ring, a)):
+        if any(mat_det(m) == ring.zero for m in thick_basis_matrices(ring, rows)):
             return DecompositionReport(summands, 2, Verdict(False, witness={
                 "failed": "singular thick basis", "mode": mode}))
         details["basis_dets_nonzero"] = True
@@ -232,7 +238,7 @@ def verify_decomposition_2d(mode: str = "symbolic", seed: int = 0) -> Decomposit
         zring = PolyRing(("a", "b", "c", "d"), 0)
         a, b, c, d = zring.gens()
         brick = BrickSpec(2, (1, 1), RingMatrix.from_rows(zring, [[a, b], [c, d]]))
-        blk, _ = assemble_block(brick, LatticeSpec(2, l=2))
+        blk = assemble_block(brick, LatticeSpec(2, 2))
         two = zring.const(2)
         expected = RingMatrix.from_rows(zring, [
             [a * a, two * a * b * c, b * d, a * b * d + b * b * c],
@@ -250,12 +256,10 @@ def verify_decomposition_2d(mode: str = "symbolic", seed: int = 0) -> Decomposit
         ring = FiniteField(2, SAMPLE_DEGREE)
         (a, b), (c, d) = sample_brick("2d", ring, random.Random(seed))
     brick = BrickSpec(2, (1, 1), RingMatrix.from_rows(ring, [[a, b], [c, d]]))
-    blk, prof = assemble_block(brick, LatticeSpec(2, l=2))
-    bp = prof.block_profile
-    r12 = blk.submatrix(bp.block_range(0), bp.block_range(1))
-    r21 = blk.submatrix(bp.block_range(1), bp.block_range(0))
-    r11 = blk.submatrix(bp.block_range(0), bp.block_range(0))
-    r22 = blk.submatrix(bp.block_range(1), bp.block_range(1))
+    spec = LatticeSpec(2, 2)
+    blk = assemble_block(brick, spec)
+    sub = lambda i, j: blk.submatrix(spec.block_range(i), spec.block_range(j))
+    r11, r12, r21, r22 = sub(0, 0), sub(0, 1), sub(1, 0), sub(1, 1)
     sq = lambda x: ring.mul(x, x)
     checks = {
         "r11_scalar": r11 == RingMatrix.scalar(ring, 2, sq(a)),
@@ -310,7 +314,7 @@ def _poly_coeffs_product(ring, roots_with_mult):
 def _sampled_cube_arrays(field, rng):
     a = [[field.sample_nonzero(rng) for _ in range(3)] for _ in range(3)]
     brick = BrickSpec(3, (1, 1, 1), RingMatrix.from_rows(field, a))
-    blk, _ = assemble_block(brick, LatticeSpec(3, l=field.p))
+    blk = assemble_block(brick, LatticeSpec(3, field.p))
     arr = fieldmat.to_array(field, blk)
     n = field.p ** 2
     blocks = {}
@@ -432,9 +436,7 @@ def _b3_pass(p: int, trials: int, seed: int) -> tuple[Verdict, Verdict]:
     checks on the same arguments costs nothing."""
     if p == 2:
         ring, a = generic_brick_ring()
-        blk, prof = assemble_cube(ring, a, 2)
-        bp = prof.block_profile
-        sub = lambda i, j: blk.submatrix(bp.block_range(i), bp.block_range(j))
+        sub = _cube_sub(assemble_cube(ring, a, 2), 4)
         bad_scalar = _scalar_failure_symbolic(ring, a, sub)
         bad_spectrum = _spectrum_failure_symbolic(ring, a, sub)
         bounds, details, exponent = (None, None), [{"mode": "symbolic", "p": 2}] * 2, 2
@@ -509,11 +511,12 @@ def _exact_div(ring, x, denom):
     return ring.mul(x, ring.inv(denom))
 
 
-def defining_g_vectors(ring, a, blk, bp):
+def defining_g_vectors(ring, a, blk):
     """All three distinguished vectors: the printed first one and the
-    second and third from their defining quotients."""
+    second and third from their defining quotients in the 2x2x2 cube
+    block blk."""
     g1 = symmetric_g_vectors(ring, a)[0]
-    sub = lambda i, j: blk.submatrix(bp.block_range(i), bp.block_range(j))
+    sub = _cube_sub(blk, 4)
     out = [g1]
     for j, aij in ((1, a[0][1]), (2, a[0][2])):
         image = row_vec_mul(g1, sub(0, j))
@@ -526,9 +529,8 @@ def g3_typo_report() -> dict:
     """The printed third distinguished vector coincides with the second;
     recompute both from their definitions and report the true value."""
     ring, a = symmetric_brick_ring()
-    blk, prof = assemble_cube(ring, a, 2)
     printed = symmetric_g_vectors(ring, a)
-    g2, g3 = defining_g_vectors(ring, a, blk, prof.block_profile)[1:]
+    g2, g3 = defining_g_vectors(ring, a, assemble_cube(ring, a, 2))[1:]
     return {
         "printed_identical": printed[1] == printed[2],
         "g2_matches_printed": g2 == printed[1],
@@ -580,10 +582,10 @@ def verify_symmetric_decomposition(level: str = "simple", mode: str = "symbolic"
     else:
         raise InputError(f"unknown level {level!r}")
 
-    blk, prof = assemble_cube(ring, a, 2)
+    blk = assemble_cube(ring, a, 2)
     # the second and third distinguished vectors come from their defining
     # quotients; the printed third one carries a typo (see g3_typo_report)
-    gs = defining_g_vectors(ring, a, blk, prof.block_profile)
+    gs = defining_g_vectors(ring, a, blk)
     per_space = [[t[1], t[2], g, t[0]] for t, g in zip(thick_basis_rows(ring, a), gs)]
     bad = _conjugation_mismatch(_stack_basis(ring, per_space), blk,
                                 _sigma_symmetric(ring, a))
@@ -690,7 +692,7 @@ def detect_evolution_summands(case: str, n: int, seed: int = 0,
     if block is None:
         from .lattice import evolve
         d = len(a)
-        block = evolve(BrickSpec(d, (1,) * d, RingMatrix.from_rows(field, a)), n, 2)[-1][0]
+        block = evolve(BrickSpec(d, (1,) * d, RingMatrix.from_rows(field, a)), n)[-1]
     total_dim = sum(p.rows * mult for p, mult in pieces)
     if block.rows != total_dim:
         return Verdict(False, witness={"failed": "dimension",

@@ -206,7 +206,7 @@ def verify_stratification(brick: Brick4, n: int, case: str) -> decomp3d.Decompos
     # at each step's brick (the cube identity over the algebra)
     current = [[x for x in row] for row in reduced.entries]
     for step in range(n):
-        blk, _ = decomp3d.assemble_cube(alg, current, 2)
+        blk = decomp3d.assemble_cube(alg, current, 2)
         p_full = decomp3d._stack_basis(alg, decomp3d.thick_basis_rows(alg, current))
         if decomp3d._conjugation_mismatch(
                 p_full, blk, decomp3d._sigma_generic(alg, current)) is not None:
@@ -241,16 +241,16 @@ def cross_check_4d(brick: Brick4, case: str,
     field = brick.field
     l = 2
     b4 = BrickSpec(4, (1, 1, 1, 1), brick.matrix)
-    spec4 = LatticeSpec(4, l=2)
-    blk4, prof4 = assemble_block(b4, spec4)
+    spec4 = LatticeSpec(4, l)
+    blk4 = assemble_block(b4, spec4)
     tag4 = "Periodic" if case == "Periodic4" else "ZeroInput"
     bcs4 = BoundaryConditions(tuple(bcs3.tags) + (tag4,))
-    count4 = count_configs(blk4, prof4, bcs4)
+    count4 = count_configs(blk4, spec4, bcs4)
     reduced = reduce_chain_4d(brick, l, case)
     b3 = reduced.brick_over_field()
-    spec3 = LatticeSpec(3, l=2, thin_dims=(l, l, l))
-    blk3, prof3 = assemble_block(b3, spec3)
-    count3 = count_configs(blk3, prof3, bcs3)
+    spec3 = LatticeSpec(3, 2, (l, l, l))
+    blk3 = assemble_block(b3, spec3)
+    count3 = count_configs(blk3, spec3, bcs3)
     if count4.e != count3.e:
         return Verdict(False, witness={"bcs": list(bcs3.tags), "case": case,
                                        "direct": count4.e, "reduced": count3.e})

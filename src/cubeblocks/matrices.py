@@ -9,34 +9,11 @@ the Berkowitz characteristic polynomial work over any commutative ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate
-
 import numpy as np
 
 from .errors import InputError, SingularMatrixError, UnsupportedRingError
 from .fields import FiniteField
 from . import fieldmat
-
-
-@dataclass(frozen=True)
-class BlockProfile:
-    """Sizes of the diagonal blocks partitioning a square matrix."""
-
-    sizes: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.sizes)
-
-    @cached_property
-    def offsets(self) -> tuple[int, ...]:
-        return tuple(accumulate(self.sizes, initial=0))[:-1]
-
-    def block_range(self, i: int) -> range:
-        off = self.offsets[i]
-        return range(off, off + self.sizes[i])
 
 
 class RingMatrix:
@@ -119,30 +96,16 @@ class RingMatrix:
         return (self.rows, self.cols) == (other.rows, other.cols) and \
             self.ring == other.ring and self.data == other.data
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.data)))
-
     def __repr__(self):
         return f"RingMatrix({self.rows}x{self.cols} over {self.ring!r})"
 
     # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        self._same_shape(other)
-        add = self.ring.add
-        return RingMatrix(self.ring, self.rows, self.cols,
-                          [add(a, b) for a, b in zip(self.data, other.data)])
 
     def __sub__(self, other):
         self._same_shape(other)
         sub = self.ring.sub
         return RingMatrix(self.ring, self.rows, self.cols,
                           [sub(a, b) for a, b in zip(self.data, other.data)])
-
-    def __neg__(self):
-        neg = self.ring.neg
-        return RingMatrix(self.ring, self.rows, self.cols,
-                          [neg(a) for a in self.data])
 
     def scalar_mul(self, c) -> "RingMatrix":
         mul = self.ring.mul

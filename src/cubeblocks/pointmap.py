@@ -109,7 +109,7 @@ def _digit_rows(field: FiniteField, rows: list[list[int]], cols: int) -> np.ndar
     return (scaled[..., None] // p ** np.arange(m) % p).astype(dtype).reshape(n, q, cols * m)
 
 
-def brute_force_census(r: RingMatrix, profile, bcs):
+def brute_force_census(r: RingMatrix, spec, bcs):
     """Count permitted configurations by enumerating every input vector.
 
     The count is always a power of q (the constraints are linear); the
@@ -123,7 +123,7 @@ def brute_force_census(r: RingMatrix, profile, bcs):
     check_points(q, r.rows, CENSUS_GUARD)
     periodic, zero = [], []
     for axis, tag in enumerate(bcs.tags):
-        slots = list(profile.block_profile.block_range(axis))
+        slots = list(spec.block_range(axis))
         if tag == "Periodic":
             periodic += slots
         elif tag == "ZeroInput":

@@ -71,28 +71,10 @@ class MultiPoly:
                 out[e] = out.get(e, 0) + c1 * c2
         return MultiPoly(self.vars, self.char, out)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise InputError("negative power of a polynomial")
-        result = MultiPoly.const(self.vars, self.char, 1)
-        acc = self
-        while n:
-            if n & 1:
-                result = result * acc
-            acc = acc * acc
-            n >>= 1
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return (self.vars, self.char, self.terms) == (other.vars, other.char, other.terms)
-
-    def __hash__(self):
-        return hash((self.vars, self.char, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     # -- queries -------------------------------------------------------
 
@@ -209,9 +191,6 @@ class PolyRing:
         return (isinstance(other, PolyRing)
                 and (self.vars, self.char) == (other.vars, other.char))
 
-    def __hash__(self):
-        return hash((self.vars, self.char))
-
     def __repr__(self):
         base = "Z" if self.char == 0 else f"F_{self.char}"
         return f"{base}[{', '.join(self.vars)}]"
@@ -280,9 +259,6 @@ class ShiftAlgebra:
         return (isinstance(other, ShiftAlgebra)
                 and (self.base, self.l, self.periodic)
                 == (other.base, other.l, other.periodic))
-
-    def __hash__(self):
-        return hash(("ShiftAlgebra", self.base, self.l, self.periodic))
 
     def __repr__(self):
         rel = f"t^{self.l} - 1" if self.periodic else f"t^{self.l}"

@@ -2,8 +2,9 @@
 
 The `cubeblocks` package holds what its command line runs.  The helpers
 here build test inputs (random bricks, random linear extensions, random
-polynomials), serve as independent references (the row-major block
-assembly and its per-vertex slot lookup, the convolution product in
+polynomials), check them (the linear-extension checker), serve as
+independent references (the row-major block assembly and its per-vertex
+slot lookup, the convolution product in
 GF(p^m), row kernels, image tables, the full-system census rank, the
 circulant determinant formula, the two-product scalar and two-rank
 spectrum checks of the sampled b3 claims), re-derive an acceptance
@@ -22,9 +23,9 @@ from cubeblocks import decomp3d, fieldmat, gf2, pointmap
 from cubeblocks.decomp3d import assemble_cube, mixed_product_difference, thick_basis_rows
 from cubeblocks.errors import InputError, SingularMatrixError, UnsupportedRingError
 from cubeblocks.fields import FiniteField
-from cubeblocks.lattice import BrickSpec, LatticeSpec, ThickProfile
+from cubeblocks.lattice import BrickSpec, LatticeSpec
 from cubeblocks.matrices import (
-    BlockProfile, RingMatrix, mat_det, mat_inverse, mat_mul, rank, row_vec_mul, rref,
+    RingMatrix, mat_det, mat_inverse, mat_mul, rank, row_vec_mul, rref,
 )
 from cubeblocks.polys import MultiPoly, PolyRing, ShiftAlgebra
 
@@ -46,17 +47,59 @@ def brick_to_json(brick: BrickSpec) -> dict:
             "field": brick.ring.to_json(), "entries": brick.matrix.to_rows()}
 
 
+def vertices(spec: LatticeSpec) -> list[tuple[int, ...]]:
+    """The lattice points in lexicographic order."""
+    return list(itertools.product(range(spec.l), repeat=spec.d))
+
+
+def layered_order(spec: LatticeSpec) -> list[tuple[int, ...]]:
+    """The vertices in the order of spec.layers(): by coordinate sum,
+    lexicographic within a sum."""
+    return sorted(vertices(spec), key=lambda v: (sum(v), v))
+
+
 def random_linear_extension(spec: LatticeSpec, rng: random.Random) -> list[tuple[int, ...]]:
-    remaining = set(spec.vertices())
+    remaining = set(vertices(spec))
     order = []
     while remaining:
+        # the placed vertices are closed downwards, so a remaining vertex
+        # is minimal once every vertex it covers is placed
         minimal = [v for v in remaining
-                   if not any(w != v and all(a <= b for a, b in zip(w, v))
-                              for w in remaining)]
+                   if all(v[:i] + (x - 1,) + v[i + 1:] not in remaining
+                          for i, x in enumerate(v) if x > 0)]
         v = rng.choice(sorted(minimal))
         order.append(v)
         remaining.remove(v)
     return order
+
+
+def check_linear_extension(spec: LatticeSpec, order) -> list[tuple[int, ...]]:
+    """order as a list of tuples, or InputError when it is not a linear
+    extension of the coordinatewise order on the lattice points."""
+    order = [tuple(v) for v in order]
+    expected = set(vertices(spec))
+    if set(order) != expected or len(order) != len(expected):
+        raise InputError("order is not a permutation of the lattice points")
+    # the partial order is the transitive closure of its covers w = v - e_i,
+    # so it is enough that each vertex comes after its covered vertices
+    when = {v: t for t, v in enumerate(order)}
+    for v in order:
+        for i, x in enumerate(v):
+            w = v[:i] + (x - 1,) + v[i + 1:]
+            if x > 0 and when[w] > when[v]:
+                raise InputError(f"order violates the lattice partial order at {w} -> {v}")
+    return order
+
+
+def poly_pow(x: MultiPoly, n: int) -> MultiPoly:
+    """x^n for n >= 0 by repeated squaring."""
+    result = MultiPoly.const(x.vars, x.char, 1)
+    while n:
+        if n & 1:
+            result = result * x
+        x = x * x
+        n >>= 1
+    return result
 
 
 def sample_poly(ring: PolyRing, rng, max_terms: int = 5, max_deg: int = 3) -> MultiPoly:
@@ -72,30 +115,29 @@ def sample_poly(ring: PolyRing, rng, max_terms: int = 5, max_deg: int = 3) -> Mu
 # block assembly
 # ----------------------------------------------------------------------
 
-def thick_position(profile: ThickProfile, axis: int, vertex) -> int:
+def thick_position(spec: LatticeSpec, axis: int, vertex) -> int:
     """First global index of the thin-space copy on the line through
     vertex parallel to axis: the lines of the axis are enumerated by
-    their transverse coordinates, sorted lex or colex, and counted."""
-    spec = profile.spec
-    other = [e for j, e in enumerate(spec.edges) if j != axis]
-    lines = list(itertools.product(*(range(e) for e in other)))
-    if profile.ordering == "colex":
+    their transverse coordinates, sorted lex or colex, and counted; the
+    axis blocks hold l^(d-1) slots each, in axis order."""
+    lines = list(itertools.product(range(spec.l), repeat=spec.d - 1))
+    if spec.ordering == "colex":
         lines.sort(key=lambda t: tuple(reversed(t)))
     slot = lines.index(tuple(x for j, x in enumerate(vertex) if j != axis))
-    return profile.block_profile.offsets[axis] + slot * spec.thin_dims[axis]
+    offset = len(lines) * sum(spec.thin_dims[:axis])
+    return offset + slot * spec.thin_dims[axis]
 
 
-def affected_indices(profile: ThickProfile, vertex) -> list[int]:
+def affected_indices(spec: LatticeSpec, vertex) -> list[int]:
     """Global indices touched by the embedding at vertex, in brick order."""
     idx = []
-    for axis, t in enumerate(profile.spec.thin_dims):
-        base = thick_position(profile, axis, vertex)
+    for axis, t in enumerate(spec.thin_dims):
+        base = thick_position(spec, axis, vertex)
         idx.extend(range(base, base + t))
     return idx
 
 
-def row_major_assemble(brick: BrickSpec, spec: LatticeSpec, profile: ThickProfile,
-                       order) -> np.ndarray:
+def row_major_assemble(brick: BrickSpec, spec: LatticeSpec, order) -> np.ndarray:
     """The block as an int64 coefficient array by the row-major kernel:
     one (n, n, m) accumulator in the product dtype; order is cut into runs
     of consecutive vertices with pairwise disjoint affected indices, and
@@ -103,13 +145,13 @@ def row_major_assemble(brick: BrickSpec, spec: LatticeSpec, profile: ThickProfil
     the regular representation of the brick, reduced mod p, and a
     scatter."""
     field = brick.ring
-    n, km = profile.total, brick.matrix.rows * field.m
+    n, km = spec.dimension, brick.matrix.rows * field.m
     dtype = fieldmat.product_dtype(field.p, km)
     acc = fieldmat.eye(field, n).astype(dtype)
     reg = fieldmat.regular(field, fieldmat.to_array(field, brick.matrix)).astype(dtype)
     runs, used = [], set()
     for v in order:
-        idx = affected_indices(profile, v)
+        idx = affected_indices(spec, v)
         if not runs or used.intersection(idx):
             runs.append([])
             used = set()
@@ -147,6 +189,14 @@ def convolution_mul(field: FiniteField, a: int, b: int) -> int:
 # ----------------------------------------------------------------------
 # matrices
 # ----------------------------------------------------------------------
+
+def mat_add(a: RingMatrix, b: RingMatrix) -> RingMatrix:
+    """The entrywise sum of two matrices of one shape over one ring."""
+    if (a.rows, a.cols) != (b.rows, b.cols) or a.ring != b.ring:
+        raise InputError("shape or ring mismatch")
+    return RingMatrix(a.ring, a.rows, a.cols,
+                      [a.ring.add(x, y) for x, y in zip(a.data, b.data)])
+
 
 def direct_sum(ms: list) -> RingMatrix:
     if not ms:
@@ -189,14 +239,10 @@ def row_kernel(m: RingMatrix) -> list[list]:
     return normalized.to_rows()
 
 
-def gauge_conjugate(r: RingMatrix, profile: BlockProfile, gs: list[RingMatrix]) -> RingMatrix:
+def gauge_conjugate(r: RingMatrix, gs: list[RingMatrix]) -> RingMatrix:
     """Conjugate by the block-diagonal matrix built from gs: G^-1 r G."""
-    if profile is None:
-        profile = BlockProfile(tuple(g.rows for g in gs))
-    if tuple(g.rows for g in gs) != profile.sizes:
-        raise InputError("gauge block sizes do not match the profile")
-    if profile.total != r.rows or r.rows != r.cols:
-        raise InputError("profile does not cover the matrix")
+    if sum(g.rows for g in gs) != r.rows or r.rows != r.cols:
+        raise InputError("gauge blocks do not cover the matrix")
     g = direct_sum(gs)
     try:
         ginv = mat_inverse(g)
@@ -268,7 +314,7 @@ def materialize_map(a: RingMatrix, guard: int = MAP_GUARD) -> PointMap:
 # censuses
 # ----------------------------------------------------------------------
 
-def full_system_exponent(r: RingMatrix, profile, bcs) -> int:
+def full_system_exponent(r: RingMatrix, spec: LatticeSpec, bcs) -> int:
     """The census exponent n - rank([R - I | E_Z]) from every constraint
     column: the Periodic columns of R - I and a selector column e_j for
     each ZeroInput slot j."""
@@ -276,7 +322,7 @@ def full_system_exponent(r: RingMatrix, profile, bcs) -> int:
     rm1 = r - RingMatrix.identity(field, n)
     cols = []
     for axis, tag in enumerate(bcs.tags):
-        for j in profile.block_profile.block_range(axis):
+        for j in spec.block_range(axis):
             if tag == "Periodic":
                 cols.append([rm1[i, j] for i in range(n)])
             elif tag == "ZeroInput":
@@ -338,9 +384,7 @@ def resolve_line_ordering(seed: int = 2026, m: int = 16):
         a = [[field.sample_nonzero(rng) for _ in range(3)] for _ in range(3)]
         if mixed_product_difference(field, a) != field.zero:
             break
-    blk, prof = assemble_cube(field, a, 2)
-    bp = prof.block_profile
-    sub = lambda i, j: blk.submatrix(bp.block_range(i), bp.block_range(j))
+    sub = decomp3d._cube_sub(assemble_cube(field, a, 2), 4)
     m_op = sub(0, 1) @ sub(1, 2) @ sub(2, 0)
     t1, t2, t3 = thick_basis_rows(field, a)
     sq = lambda x: field.mul(x, x)
@@ -445,10 +489,10 @@ def perturb_cube(monkeypatch, call=1, entry=(9, 7)):
     assemble, calls = decomp3d.assemble_cube, []
 
     def perturbed(ring, a, l):
-        blk, prof = assemble(ring, a, l)
+        blk = assemble(ring, a, l)
         calls.append(None)
         if len(calls) == call:
             blk[entry] = ring.add(blk[entry], ring.one)
-        return blk, prof
+        return blk
 
     monkeypatch.setattr(decomp3d, "assemble_cube", perturbed)

@@ -9,9 +9,11 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 from cubeblocks import decomp3d as D
+from cubeblocks import fieldmat
 from cubeblocks import dim4 as X
 from cubeblocks.census import BoundaryConditions, count_configs
 from cubeblocks.errors import SingularMatrixError
@@ -21,7 +23,7 @@ from cubeblocks.matrices import RingMatrix, charpoly, mat_det, rank
 from cubeblocks.pointmap import brute_force_census
 from reference import (
     circulant_det_charp, gauge_conjugate, random_brick, random_linear_extension,
-    symmetrize_brick,
+    row_major_assemble, symmetrize_brick,
 )
 
 F2 = FiniteField(2)
@@ -125,7 +127,7 @@ def test_criterion_05_cube_conjugation_symbolic():
     t0 = time.time()
     rep = D.verify_decomposition_3d("symbolic")
     ring, a = D.generic_brick_ring()
-    basis = D.thick_basis_matrices(ring, a)
+    basis = D.thick_basis_matrices(ring, D.thick_basis_rows(ring, a))
     pos = ring.mul(ring.mul(a[0][1], a[1][2]), a[2][0])
     neg = ring.mul(ring.mul(a[0][2], a[2][1]), a[1][0])
     want = ring.mul(ring.add(pos, neg), ring.add(pos, neg))
@@ -185,12 +187,13 @@ def test_criterion_07_census_oracle():
     for trial in range(51):
         d, l = shapes[trial % len(shapes)]
         brick = random_brick(F2, d, (1,) * d, rng)
-        blk, prof = assemble_block(brick, LatticeSpec(d, l=l))
+        spec = LatticeSpec(d, l=l)
+        blk = assemble_block(brick, spec)
         assert blk.rows <= 22
         for tags in itertools.product(TAGS, repeat=d):
             bcs = BoundaryConditions(tags)
-            ok &= brute_force_census(blk, prof, bcs) \
-                == count_configs(blk, prof, bcs)
+            ok &= brute_force_census(blk, spec, bcs) \
+                == count_configs(blk, spec, bcs)
     _report(7, "51 bricks, every boundary mix, vs exhaustive enumeration",
             ok, t0)
     assert ok
@@ -210,24 +213,23 @@ def test_criterion_08_gauge_invariance():
     ]
     ok = True
     for brick in instances:
-        blk, prof = assemble_block(
-            brick, LatticeSpec(brick.d, l=2, thin_dims=brick.thin_dims))
-        bp = prof.block_profile
+        spec = LatticeSpec(brick.d, 2, brick.thin_dims)
+        blk = assemble_block(brick, spec)
         field = brick.ring
-        base = {tags: count_configs(blk, prof, BoundaryConditions(tags))
+        base = {tags: count_configs(blk, spec, BoundaryConditions(tags))
                 for tags in itertools.product(TAGS, repeat=brick.d)}
         for _ in range(20):
             gs = []
-            for size in bp.sizes:
+            for size in spec.dims:
                 while True:
                     g = RingMatrix(field, size, size,
                                    [field.sample(rng) for _ in range(size * size)])
                     if rank(g) == size:
                         break
                 gs.append(g)
-            conj = gauge_conjugate(blk, bp, gs)
+            conj = gauge_conjugate(blk, gs)
             for tags, want in base.items():
-                ok &= count_configs(conj, prof, BoundaryConditions(tags)) == want
+                ok &= count_configs(conj, spec, BoundaryConditions(tags)) == want
     _report(8, "census exponents fixed under 20 gauges per instance", ok, t0)
     assert ok
 
@@ -245,13 +247,12 @@ def test_criterion_09_linear_extension_independence():
             for l in (2, 3):
                 brick = random_brick(field, d, (1,) * d, rng)
                 spec = LatticeSpec(d, l=l)
-                base, _ = assemble_block(brick, spec)
+                base = fieldmat.to_array(field, assemble_block(brick, spec))
                 for _ in range(20):
                     order = random_linear_extension(spec, rng)
-                    blk, _ = assemble_block(brick, spec, order=order)
-                    ok &= blk == base
-    _report(9, "20 random linear extensions per instance give one block",
-            ok, t0)
+                    ok &= np.array_equal(base, row_major_assemble(brick, spec, order))
+    _report(9, "the layered block equals the reference kernel in 20 random "
+               "linear extensions per instance", ok, t0)
     assert ok
 
 

@@ -26,8 +26,9 @@ def test_unknown_tag_rejected():
 def test_free_only_counts_everything():
     rng = random.Random(1)
     brick = random_brick(F2, 2, (1, 1), rng)
-    blk, prof = assemble_block(brick, LatticeSpec(2, l=2))
-    cc = count_configs(blk, prof, BoundaryConditions.uniform(2, "Free"))
+    spec = LatticeSpec(2, l=2)
+    blk = assemble_block(brick, spec)
+    cc = count_configs(blk, spec, BoundaryConditions.uniform(2, "Free"))
     assert cc.e == blk.rows
 
 
@@ -36,18 +37,20 @@ def test_oracle_equivalence_small():
     for _ in range(10):
         d, l = rng.choice([(2, 2), (2, 3), (3, 2)])
         brick = random_brick(F2, d, (1,) * d, rng)
-        blk, prof = assemble_block(brick, LatticeSpec(d, l=l))
+        spec = LatticeSpec(d, l=l)
+        blk = assemble_block(brick, spec)
         for tags in itertools.product(TAGS, repeat=d):
             bcs = BoundaryConditions(tags)
-            assert brute_force_census(blk, prof, bcs) \
-                == count_configs(blk, prof, bcs), (d, l, tags)
+            assert brute_force_census(blk, spec, bcs) \
+                == count_configs(blk, spec, bcs), (d, l, tags)
 
 
 def test_toric_exponent_is_fixed_space_dimension():
     rng = random.Random(3)
     brick = random_brick(F4, 3, (1, 1, 1), rng)
-    blk, prof = assemble_block(brick, LatticeSpec(3, l=2))
-    cc = count_configs(blk, prof, BoundaryConditions.toric(3))
+    spec = LatticeSpec(3, l=2)
+    blk = assemble_block(brick, spec)
+    cc = count_configs(blk, spec, BoundaryConditions.toric(3))
     ker = row_kernel(blk - RingMatrix.identity(F4, blk.rows))
     assert cc.e == len(ker)
 
@@ -55,22 +58,22 @@ def test_toric_exponent_is_fixed_space_dimension():
 def test_gauge_invariance():
     rng = random.Random(4)
     brick = random_brick(F4, 2, (1, 1), rng)
-    blk, prof = assemble_block(brick, LatticeSpec(2, l=2))
-    bp = prof.block_profile
-    base = {tags: count_configs(blk, prof, BoundaryConditions(tags))
+    spec = LatticeSpec(2, l=2)
+    blk = assemble_block(brick, spec)
+    base = {tags: count_configs(blk, spec, BoundaryConditions(tags))
             for tags in itertools.product(TAGS, repeat=2)}
     for _ in range(5):
         gs = []
-        for size in bp.sizes:
+        for size in spec.dims:
             while True:
                 g = RingMatrix(F4, size, size,
                                [F4.sample(rng) for _ in range(size * size)])
                 if rank(g) == size:
                     break
             gs.append(g)
-        conj = gauge_conjugate(blk, bp, gs)
+        conj = gauge_conjugate(blk, gs)
         for tags, want in base.items():
-            assert count_configs(conj, prof, BoundaryConditions(tags)) == want
+            assert count_configs(conj, spec, BoundaryConditions(tags)) == want
 
 
 def test_census_consistent_with_decomposition():
@@ -83,8 +86,9 @@ def test_census_consistent_with_decomposition():
     rep = verify_decomposition_3d("sampled", seed=5)
     assert rep.verdict.ok
     brick = BrickSpec(3, (1, 1, 1), RingMatrix.from_rows(f, a))
-    blk, prof = assemble_block(brick, LatticeSpec(3, l=2))
-    cc = count_configs(blk, prof, BoundaryConditions.toric(3))
+    spec = LatticeSpec(3, l=2)
+    blk = assemble_block(brick, spec)
+    cc = count_configs(blk, spec, BoundaryConditions.toric(3))
     tilde = RingMatrix.from_rows(f, [[f.mul(x, x) for x in row] for row in a])
     e_simple = len(row_kernel(tilde - RingMatrix.identity(f, 3)))
     e_trans = len(row_kernel(tilde.transpose() - RingMatrix.identity(f, 3)))
@@ -94,16 +98,18 @@ def test_census_consistent_with_decomposition():
 def test_census_report_fields():
     rng = random.Random(6)
     brick = random_brick(F2, 2, (1, 1), rng)
-    blk, prof = assemble_block(brick, LatticeSpec(2, l=2))
-    rep = census_report(blk, prof, BoundaryConditions.toric(2))
+    spec = LatticeSpec(2, l=2)
+    blk = assemble_block(brick, spec)
+    rep = census_report(blk, spec, BoundaryConditions.toric(2))
     assert set(rep) >= {"q", "exponent", "bcs"}
 
 
 def test_constraint_columns_count():
     rng = random.Random(7)
     brick = random_brick(F2, 2, (1, 1), rng)
-    blk, prof = assemble_block(brick, LatticeSpec(2, l=2))
-    c = build_constraint_system(blk, prof, BoundaryConditions(("Periodic", "ZeroInput")))
+    spec = LatticeSpec(2, l=2)
+    blk = assemble_block(brick, spec)
+    c = build_constraint_system(blk, spec, BoundaryConditions(("Periodic", "ZeroInput")))
     # the zero-input axis pins its slots, so only the periodic axis's
     # slots stay as rows; the periodic axis contributes its slot columns
     # of (r - 1), and the zero-input axis no column at all
@@ -126,8 +132,8 @@ def test_count_configs_matches_full_system(p, m, thin, edge):
     rng = random.Random(p * 100 + m)
     spec = LatticeSpec(len(thin), l=edge, thin_dims=thin)
     for _ in range(2):
-        blk, prof = assemble_block(random_brick(f, len(thin), thin, rng), spec)
-        n = prof.total
+        blk = assemble_block(random_brick(f, len(thin), thin, rng), spec)
+        n = spec.dimension
         dense = RingMatrix(f, n, n, [f.sample(rng) for _ in range(n * n)])
         u = [f.sample(rng) for _ in range(n)]
         v = [f.sample(rng) for _ in range(n)]
@@ -136,5 +142,5 @@ def test_count_configs_matches_full_system(p, m, thin, edge):
         for r in (blk, dense, near):
             for tags in itertools.product(TAGS, repeat=len(thin)):
                 bcs = BoundaryConditions(tags)
-                assert count_configs(r, prof, bcs).e \
-                    == full_system_exponent(r, prof, bcs), tags
+                assert count_configs(r, spec, bcs).e \
+                    == full_system_exponent(r, spec, bcs), tags

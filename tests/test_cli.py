@@ -8,7 +8,7 @@ from cubeblocks.cli import main, matrix_to_json
 from cubeblocks.fields import FiniteField
 from cubeblocks.lattice import BrickSpec
 from cubeblocks.matrices import RingMatrix, mat_inverse
-from reference import brick_to_json, random_brick
+from reference import brick_to_json, mat_add, random_brick
 
 
 @pytest.fixture
@@ -118,8 +118,8 @@ def test_reduce4d_entries_match_matrix_route(case, tag, capsys):
     b = RingMatrix.from_rows(F256, BRICK4)
     t = dim4.shift_matrix(F256, 2, case)
     w = mat_inverse(RingMatrix.identity(F256, 2) - t.scalar_mul(b[3, 3])) @ t
-    want = [[matrix_to_json(RingMatrix.scalar(F256, 2, b[i, j])
-                            + w.scalar_mul(F256.mul(b[i, 3], b[3, j])))
+    want = [[matrix_to_json(mat_add(RingMatrix.scalar(F256, 2, b[i, j]),
+                                    w.scalar_mul(F256.mul(b[i, 3], b[3, j]))))
              for j in range(3)] for i in range(3)]
     assert rep["entries"] == want
 
@@ -139,8 +139,8 @@ def test_reduce4d_odd_p_reports_entries(case, capsys):
     assert "characteristic 2" in rep["nondegenerate_reason"]
     # b44 = 0, so w = T and the entries are k_ij 1 + b_i4 b_4j T
     t = dim4.shift_matrix(f3, 2, case)
-    want = [[matrix_to_json(RingMatrix.scalar(f3, 2, rows[i][j])
-                            + t.scalar_mul(f3.mul(rows[i][3], rows[3][j])))
+    want = [[matrix_to_json(mat_add(RingMatrix.scalar(f3, 2, rows[i][j]),
+                                    t.scalar_mul(f3.mul(rows[i][3], rows[3][j]))))
              for j in range(3)] for i in range(3)]
     assert rep["entries"] == want
 
@@ -291,6 +291,22 @@ def test_b3_without_trials_is_exit_2(trials, capsys):
     assert captured.err == f"error: need at least one trial, got {trials}\n"
 
 
+@pytest.mark.parametrize("argv", [["b3", "--p", "2", "--trials", "-3"],
+                                  ["all", "--trials", "0"]])
+def test_b3_without_trials_is_exit_2_at_p2(argv, capsys, monkeypatch):
+    # p = 2 is symbolic and takes no trials, but a count below one is
+    # refused there too, before anything is assembled
+    def fail(*args, **kwargs):
+        raise AssertionError("assemble_block called")
+    monkeypatch.setattr(lattice, "assemble_block", fail)
+    monkeypatch.setattr(decomp3d, "assemble_block", fail)
+    decomp3d._b3_pass.cache_clear()
+    assert main(["verify", *argv, "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need at least one trial, got {argv[-1]}\n"
+
+
 def test_b3_cap_dim_refuses_before_assembly(capsys, monkeypatch):
     # the p = 11 block has dimension 3 * 11^2 = 363
     def fail(*args, **kwargs):
@@ -359,7 +375,7 @@ def test_evolve_passes_detection_the_block_it_would_build(case, capsys, monkeypa
 
     def spy_evolve(*a, **k):
         out = evolve(*a, **k)
-        built.append(out[-1][0])
+        built.append(out[-1])
         return out
     monkeypatch.setattr(lattice, "evolve", spy_evolve)
     assert detect(*args, **kwargs) == detect(*args, **kwargs, block=passed)

@@ -93,7 +93,7 @@ def test_thick_basis_determinants_sampled():
     f = FiniteField(2, 16)
     rng = random.Random(4)
     a = [[f.sample_nonzero(rng) for _ in range(3)] for _ in range(3)]
-    basis = D.thick_basis_matrices(f, a)
+    basis = D.thick_basis_matrices(f, D.thick_basis_rows(f, a))
     pos = f.mul(f.mul(a[0][1], a[1][2]), a[2][0])
     neg = f.mul(f.mul(a[0][2], a[2][1]), a[1][0])
     want = f.pow(f.add(pos, neg), 2)
@@ -104,6 +104,19 @@ def test_thick_basis_determinants_sampled():
 # ----------------------------------------------------------------------
 # conjugation failures
 # ----------------------------------------------------------------------
+
+def test_cube_check_builds_thick_basis_rows_once(monkeypatch):
+    # the conjugation and the sampled determinants share one build
+    rows, calls = D.thick_basis_rows, []
+
+    def counting(ring, a):
+        calls.append(None)
+        return rows(ring, a)
+
+    monkeypatch.setattr(D, "thick_basis_rows", counting)
+    assert D.verify_decomposition_3d("sampled", seed=3).verdict.ok
+    assert len(calls) == 1
+
 
 @pytest.mark.parametrize("mode", ["symbolic", "sampled"])
 def test_cube_conjugation_failure_witness(mode, monkeypatch):
@@ -471,9 +484,9 @@ def test_detection_witness_matches_per_point_loop(seed, monkeypatch):
     field = FiniteField(2, 8)
     a = D.sample_brick("3d-generic", field, random.Random(seed))
     brick = BrickSpec(3, (1, 1, 1), RingMatrix.from_rows(field, a))
-    block = evolve(brick, 1, 2)[-1][0]
+    block = evolve(brick, 1)[-1]
     block[0, 0] = field.add(block[0, 0], field.one)
-    monkeypatch.setattr(lattice, "evolve", lambda *args, **kwargs: [(block, None)])
+    monkeypatch.setattr(lattice, "evolve", lambda *args, **kwargs: [block])
     verdict = D.detect_evolution_summands("3d-generic", 1, seed=seed,
                                           field=field, entries=a)
 

@@ -8,7 +8,7 @@ from cubeblocks.census import BoundaryConditions
 from cubeblocks.errors import InputError, SingularMatrixError
 from cubeblocks.fields import FiniteField
 from cubeblocks.matrices import RingMatrix, mat_det, mat_inverse
-from reference import circulant_det_charp, perturb_cube
+from reference import circulant_det_charp, mat_add, perturb_cube
 
 F = FiniteField(2, 8)
 
@@ -65,8 +65,8 @@ def _matrix_route(b, l, case):
     with T the shift matrix of the case."""
     t = X.shift_matrix(F, l, case)
     w = mat_inverse(RingMatrix.identity(F, l) - t.scalar_mul(b.b44)) @ t
-    return [[RingMatrix.scalar(F, l, b.k[i, j])
-             + w.scalar_mul(F.mul(b.l_col[i], b.m_row[j]))
+    return [[mat_add(RingMatrix.scalar(F, l, b.k[i, j]),
+                     w.scalar_mul(F.mul(b.l_col[i], b.m_row[j])))
              for j in range(3)] for i in range(3)]
 
 

@@ -7,10 +7,12 @@ from cubeblocks import fieldmat, pointmap
 from cubeblocks.census import BoundaryConditions, count_configs
 from cubeblocks.errors import ResourceLimitError
 from cubeblocks.fields import FiniteField
-from cubeblocks.lattice import LatticeSpec, assemble_block, default_order
+from cubeblocks.lattice import LatticeSpec, assemble_block
 from cubeblocks.matrices import RingMatrix, rank, row_vec_mul
 from cubeblocks.pointmap import brute_force_census
-from reference import PointMap, affected_indices, direct_sum, materialize_map, random_brick
+from reference import (
+    PointMap, affected_indices, direct_sum, layered_order, materialize_map, random_brick,
+)
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -46,7 +48,7 @@ def per_point_table(a: RingMatrix) -> list[int]:
             for idx in range(f.q ** n)]
 
 
-def per_point_census(r: RingMatrix, profile, tags, table) -> int:
+def per_point_census(r: RingMatrix, spec, tags, table) -> int:
     """Exponent of the number of points whose input and image meet the
     per-axis tags, read off a per-point image table."""
     f, n = r.ring, r.rows
@@ -55,7 +57,7 @@ def per_point_census(r: RingMatrix, profile, tags, table) -> int:
         x, y = point_to_vector(f, idx, n), point_to_vector(f, image, n)
         ok = True
         for axis, tag in enumerate(tags):
-            slots = profile.block_profile.block_range(axis)
+            slots = spec.block_range(axis)
             if tag == "Periodic":
                 ok &= all(y[j] == x[j] for j in slots)
             elif tag == "ZeroInput":
@@ -82,13 +84,13 @@ def direct_sum_table(f: PointMap, g: PointMap) -> list[int]:
             for j in range(g.q ** g.n) for i in range(block)]
 
 
-def propagate_configuration(brick, spec, profile, order, x: list[int]) -> list[int]:
+def propagate_configuration(brick, spec, order, x: list[int]) -> list[int]:
     """Run the local dynamics: lines carry values, each vertex applies the
     brick map to the values of the d lines through it, in assembly order."""
     field = brick.ring
     state = list(x)
     for v in order:
-        idx = affected_indices(profile, v)
+        idx = affected_indices(spec, v)
         local = [state[g] for g in idx]
         new = [field.zero] * len(local)
         for a in range(len(local)):
@@ -104,10 +106,10 @@ def _random_block(case, seed):
     f = FiniteField(p, m)
     rng = random.Random(seed)
     spec = LatticeSpec(len(thin), l=edge, thin_dims=thin)
-    _, prof = assemble_block(random_brick(f, len(thin), thin, rng), spec)
-    n = prof.total
+    random_brick(f, len(thin), thin, rng)  # keeps the seeded draws of r
+    n = spec.dimension
     r = RingMatrix(f, n, n, [f.sample(rng) for _ in range(n * n)])
-    return r, prof
+    return r, spec
 
 
 # ----------------------------------------------------------------------
@@ -127,20 +129,20 @@ def test_materialize_map_matches_per_point(case, monkeypatch):
 
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
 def test_census_matches_per_point(case, monkeypatch):
-    r, prof = _random_block(case, 12)
+    r, spec = _random_block(case, 12)
     q, n = r.ring.q, r.rows
     table = per_point_table(r)
     d = len(case[2])
     # the last axis owns the top digit, so the chunked pass sees
     # Periodic and ZeroInput columns there
-    assert n - 1 in prof.block_profile.block_range(d - 1)
+    assert n - 1 in spec.block_range(d - 1)
     for tags in itertools.product(TAGS, repeat=d):
-        want = per_point_census(r, prof, tags, table)
+        want = per_point_census(r, spec, tags, table)
         bcs = BoundaryConditions(tags)
-        assert brute_force_census(r, prof, bcs).e == want, tags
+        assert brute_force_census(r, spec, bcs).e == want, tags
         monkeypatch.setattr(pointmap, "CHUNK_ROWS", q ** (n - 2))
         assert q ** (n - pointmap._low_digits(q, n)) >= 3
-        assert brute_force_census(r, prof, bcs).e == want, tags
+        assert brute_force_census(r, spec, bcs).e == want, tags
         monkeypatch.undo()
 
 
@@ -154,8 +156,7 @@ def test_census_digit_sums_do_not_wrap():
     v = [rng.randrange(1, 89) for _ in range(3)]
     r = RingMatrix(f, 3, 3, [(int(i == j) + u[i] * v[j]) % 89
                              for i in range(3) for j in range(3)])
-    _, prof = assemble_block(random_brick(f, 3, (1, 1, 1), rng), LatticeSpec(3, l=1))
-    assert brute_force_census(r, prof, BoundaryConditions.toric(3)).e == 2
+    assert brute_force_census(r, LatticeSpec(3, l=1), BoundaryConditions.toric(3)).e == 2
 
 
 def test_oracle_does_not_touch_fieldmat(monkeypatch):
@@ -166,9 +167,9 @@ def test_oracle_does_not_touch_fieldmat(monkeypatch):
     for name in dir(fieldmat):
         if callable(getattr(fieldmat, name)) and not name.startswith("__"):
             monkeypatch.setattr(fieldmat, name, fail)
-    for r, prof in blocks:
+    for r, spec in blocks:
         materialize_map(r)
-        brute_force_census(r, prof, BoundaryConditions(("Periodic",) * prof.spec.d))
+        brute_force_census(r, spec, BoundaryConditions(("Periodic",) * spec.d))
 
 
 # ----------------------------------------------------------------------
@@ -220,11 +221,12 @@ def test_map_guard():
 def test_brute_force_census_is_q_power():
     rng = random.Random(3)
     brick = random_brick(F3, 2, (1, 1), rng)
-    blk, prof = assemble_block(brick, LatticeSpec(2, l=2))
+    spec = LatticeSpec(2, l=2)
+    blk = assemble_block(brick, spec)
     for tags in itertools.product(TAGS, repeat=2):
-        cc = brute_force_census(blk, prof, BoundaryConditions(tags))
+        cc = brute_force_census(blk, spec, BoundaryConditions(tags))
         assert cc.q == 3
-        assert cc == count_configs(blk, prof, BoundaryConditions(tags))
+        assert cc == count_configs(blk, spec, BoundaryConditions(tags))
 
 
 def test_interior_determinism():
@@ -234,10 +236,10 @@ def test_interior_determinism():
     for d, l in ((2, 2), (3, 2), (2, 3)):
         brick = random_brick(F2, d, (1,) * d, rng)
         spec = LatticeSpec(d, l=l)
-        blk, prof = assemble_block(brick, spec)
-        order = default_order(spec)
+        blk = assemble_block(brick, spec)
+        order = layered_order(spec)
         n = blk.rows
         for idx in range(2 ** n):
             x = point_to_vector(F2, idx, n)
-            assert propagate_configuration(brick, spec, prof, order, x) \
+            assert propagate_configuration(brick, spec, order, x) \
                 == row_vec_mul(x, blk)

@@ -35,9 +35,6 @@ ALLOWED = {
     "matrices.rref": TRACED,
     "matrices.mat_inverse": TRACED,
     "fieldmat.rref": TRACED + "; called only by matrices.rref and mat_inverse",
-    "lattice.check_linear_extension": "validates a caller's order in "
-                                      "assemble_block(order=...); the CLI always "
-                                      "assembles in the default order",
 }
 
 
@@ -51,6 +48,8 @@ def _brick(p, m, rows, d=None):
 GEN3 = [[3, 5, 9], [7, 11, 13], [17, 19, 23]]
 SYM3 = [[3, 5, 9], [5, 11, 13], [9, 13, 23]]
 B4 = [[3, 5, 9, 2], [7, 11, 13, 4], [17, 19, 23, 6], [1, 2, 3, 0]]
+# b44 = 1 is a root of unity, so the periodic chain is degenerate
+B4_DEGENERATE = [[3, 5, 9, 2], [7, 11, 13, 4], [17, 19, 23, 6], [1, 2, 3, 1]]
 CALLS = [
     ["verify", "all"],
     ["verify", "b3", "--p", "3", "--trials", "1"],
@@ -68,14 +67,16 @@ CALLS = [
     ["evolve", "--brick", _brick(3, 1, [[1, 2], [2, 2]])],
     ["reduce4d", "--brick", _brick(2, 8, B4), "--case", "Periodic4"],
     ["reduce4d", "--brick", _brick(2, 8, B4), "--case", "ZeroInput4"],
+    ["reduce4d", "--brick", _brick(2, 8, B4_DEGENERATE), "--case", "Periodic4"],
     ["reduce4d", "--brick", _brick(3, 2, [[3, 5, 8, 2], [7, 1, 3, 4], [1, 2, 2, 6],
                                            [1, 2, 3, 0]])],
 ]
 
 
 def _defined() -> dict:
-    """(file, first line) -> module.qualname of every non-dunder function
-    in the package, nested functions included."""
+    """(file, first line) -> module.qualname of every function in the
+    package, nested functions and dunder methods included; __repr__ is
+    left out, since only a person reading an object calls it."""
     out = {}
 
     def walk(code, prefix):
@@ -86,7 +87,7 @@ def _defined() -> dict:
                 walk(c, prefix)
             elif c.co_flags & inspect.CO_OPTIMIZED:  # a function
                 name = prefix + c.co_name
-                if not (c.co_name.startswith("__") and c.co_name.endswith("__")):
+                if c.co_name != "__repr__":
                     out[c.co_filename, c.co_firstlineno] = name
                 walk(c, name + ".<locals>.")
             else:  # a class body
