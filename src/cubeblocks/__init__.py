@@ -25,7 +25,7 @@ from .decomp3d import (
     verify_symmetric_decomposition,
     evolution_census_closed_form,
 )
-from .dim4 import Brick4, reduce_chain_4d, nondegeneracy_4d, verify_stratification
+from .dim4 import reduce_chain_4d, nondegeneracy_4d, verify_stratification
 
 __all__ = [
     "FiniteField",
@@ -38,5 +38,5 @@ __all__ = [
     "verify_decomposition_2d", "verify_decomposition_3d",
     "verify_scalar_structure", "verify_triple_product_spectrum",
     "verify_symmetric_decomposition", "evolution_census_closed_form",
-    "Brick4", "reduce_chain_4d", "nondegeneracy_4d", "verify_stratification",
+    "reduce_chain_4d", "nondegeneracy_4d", "verify_stratification",
 ]

@@ -163,11 +163,11 @@ def _suite_diag3(args) -> list[dict]:
     ]
 
 
-def _b3_trials(args) -> int:
-    """The b3 trial count, after refusing a prime, block size or count
-    the suite cannot run; p = 2 is checked symbolically and reads no
-    trials, but a count below one is refused there too."""
-    p = args.p
+def _b3_args(args) -> tuple[int, int]:
+    """The b3 prime and trial count, after refusing a prime, block size
+    or count the suite cannot run; p = 2 is checked symbolically and
+    reads no trials, but a count below one is refused there too."""
+    p = 2 if args.p is None else args.p
     if p not in B3_PRIMES:
         raise InputError(f"prime {p} not supported; choose one of {B3_PRIMES}")
     _check_caps(3 * p * p, args)
@@ -176,11 +176,11 @@ def _b3_trials(args) -> int:
         trials = 4 if p == 11 else 32
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
-    return trials
+    return p, trials
 
 
 def _suite_b3(args) -> list[dict]:
-    p, trials = args.p, _b3_trials(args)
+    p, trials = _b3_args(args)
     results = [
         _from_verdict(f"scalar-structure-p{p}", decomp3d.verify_scalar_structure(
             p, trials=trials, seed=args.seed)),
@@ -216,11 +216,13 @@ def _suite_symmetric(args) -> list[dict]:
     return results
 
 
-def _nondegenerate_brick(field, rng, case: str, b44_zero: bool) -> dim4.Brick4:
-    """The first random 4x4 brick, with b44 set to zero if asked, that is
-    nondegenerate for the case at chain length 2."""
+def _nondegenerate_brick(field, rng, case: str, b44_zero: bool) -> BrickSpec:
+    """The first random 4x4 brick, entries drawn row by row, with b44 set
+    to zero if asked, that is nondegenerate for the case at chain length
+    2."""
     while True:
-        brick = dim4.Brick4.random(field, rng)
+        brick = BrickSpec(4, (1, 1, 1, 1), RingMatrix(
+            field, 4, 4, [field.sample(rng) for _ in range(16)]))
         if b44_zero:
             brick.matrix[3, 3] = field.zero
         try:
@@ -269,7 +271,13 @@ def cmd_verify(args) -> int:
     }
     names = list(suites) if args.suite == "all" else [args.suite]
     if "b3" in names:
-        _b3_trials(args)  # refuse bad b3 arguments before any suite runs
+        _b3_args(args)  # refuse bad b3 arguments before any suite runs
+    else:
+        given = [opt for opt, value in (("--p", args.p), ("--trials", args.trials))
+                 if value is not None]
+        if given:
+            raise InputError(f"the {args.suite} suite does not read "
+                             f"{' or '.join(given)}; only b3 and all do")
     by_name = {}
     for name in names:
         if name == "dim4" and "algebra" in by_name:
@@ -338,21 +346,18 @@ def cmd_census(args) -> int:
 
 def cmd_evolve(args) -> int:
     brick = _load_brick(args.brick)
-    field = brick.ring
+    field, a = brick.ring, brick.matrix
     stages = evolve(brick, args.steps, cap=args.cap_dim)
     report = _report_skeleton(args, "evolve")
     report["steps"] = args.steps
     report["dimensions"] = [blk.rows for blk in stages]
     d = brick.d
-    entries = [[brick.matrix[i, j] for j in range(brick.matrix.cols)]
-               for i in range(brick.matrix.rows)]
     case = None
     if d == 2 and brick.thin_dims == (1, 1) and field.p == 2:
         case = "2d"
     elif d == 3 and brick.thin_dims == (1, 1, 1) and field.p == 2:
-        sym = all(entries[i][j] == entries[j][i]
-                  for i in range(3) for j in range(3))
-        diff = decomp3d.mixed_product_difference(field, entries)
+        sym = a == a.transpose()
+        diff = decomp3d.mixed_product_difference(field, a.to_rows())
         if sym and diff == field.zero:
             case = "3d-symmetric"
         elif diff != field.zero:
@@ -364,8 +369,8 @@ def cmd_evolve(args) -> int:
         dim = stages[-1].rows
         if field.q > 2 * dim:
             verdict = decomp3d.detect_evolution_summands(
-                case, args.steps, seed=args.seed, field=field,
-                entries=entries, block=stages[-1])
+                case, args.steps, seed=args.seed, brick=brick,
+                block=stages[-1])
             report["detection"] = _from_verdict("summand-detection", verdict)
             if not verdict.ok:
                 report["status"] = "falsified"
@@ -379,9 +384,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_reduce4d(args) -> int:
-    brick4 = _load_brick(args.brick)
-    if brick4.d != 4 or brick4.thin_dims != (1, 1, 1, 1):
-        raise InputError("reduce4d expects a 4-axis brick with unit thin spaces")
+    brick = _load_brick(args.brick)
     if args.n < 0:
         raise InputError(f"--n must be at least 0, got {args.n}")
     cap = args.cap_dim
@@ -389,7 +392,6 @@ def cmd_reduce4d(args) -> int:
     if args.n > cap.bit_length() or 3 * 2 ** args.n > cap:
         raise ResourceLimitError(
             f"folded brick dimension 3*2^{args.n} exceeds --cap-dim {cap}")
-    brick = dim4.Brick4(brick4.matrix)
     length = 2 ** args.n
     report = _report_skeleton(args, "reduce4d")
     report["case"] = args.case
@@ -403,9 +405,9 @@ def cmd_reduce4d(args) -> int:
         return EXIT_VERIFIED
     tag = "Circulant" if args.case == "Periodic4" else "UpperToeplitz"
     report["entry_tags"] = [[tag] * 3 for _ in range(3)]
-    report["entries"] = [[matrix_to_json(reduced.algebra.matrix(x)) for x in row]
-                         for row in reduced.entries]
-    if brick.field.p != 2:
+    report["entries"] = [[matrix_to_json(reduced.ring.matrix(x)) for x in row]
+                         for row in reduced.matrix.to_rows()]
+    if brick.ring.p != 2:
         # the folding holds in every characteristic, the criterion does not
         report["nondegenerate"] = None
         report["nondegenerate_reason"] = "the nondegeneracy criterion is for characteristic 2"
@@ -449,10 +451,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITES)
-    p_verify.add_argument("--p", type=int, default=2,
-                          help="characteristic for the b3 suite")
+    p_verify.add_argument("--p", type=int, default=None,
+                          help="characteristic for the b3 suite (default 2); "
+                               "read by b3 and all only")
     p_verify.add_argument("--trials", type=int, default=None,
-                          help="sampled trials for the b3 suite")
+                          help="sampled trials for the b3 suite; "
+                               "read by b3 and all only")
     p_verify.set_defaults(func=cmd_verify)
 
     p_asm = sub.add_parser("assemble", parents=[common],

@@ -655,8 +655,8 @@ def evolution_census_closed_form(case: str, n: int) -> EvolutionCensus:
 
 
 def detect_evolution_summands(case: str, n: int, seed: int = 0,
-                              field: FiniteField | None = None,
-                              entries=None, block: RingMatrix | None = None) -> Verdict:
+                              brick: BrickSpec | None = None,
+                              block: RingMatrix | None = None) -> Verdict:
     """Compare the block R after n evolution steps at a random
     specialization with the predicted direct sum: det(R - x) must agree
     with the product of the predicted summand determinants at more
@@ -667,16 +667,20 @@ def detect_evolution_summands(case: str, n: int, seed: int = 0,
     they are similar: a Jordan block passes against the diagonal matrix
     with the same characteristic polynomial.  R and each predicted piece
     are reduced to Hessenberg form once, and their determinants are
-    evaluated at all points together.  block, when given, is R as the
-    caller already evolved it from entries; otherwise R is evolved
+    evaluated at all points together.  brick, when not given, is drawn
+    over GF(2^SAMPLE_DEGREE) from the seed.  block, when given, is R as
+    the caller already evolved it from brick; otherwise R is evolved
     here."""
-    if field is None:
-        field = FiniteField(2, SAMPLE_DEGREE)
     rng = random.Random(seed)
     census = evolution_census_closed_form(case, n)
-    a = sample_brick(case, field, rng) if entries is None else [list(row) for row in entries]
+    if brick is None:
+        field = FiniteField(2, SAMPLE_DEGREE)
+        a = sample_brick(case, field, rng)
+        brick = BrickSpec(len(a), (1,) * len(a), RingMatrix.from_rows(field, a))
+    field = brick.ring
     e = 2 ** n
-    tilde = RingMatrix.from_rows(field, [[field.pow(x, e) for x in row] for row in a])
+    tilde = RingMatrix(field, brick.matrix.rows, brick.matrix.cols,
+                       [field.pow(x, e) for x in brick.matrix.data])
     # 3d-generic pairs the Frobenius-twisted brick with its transpose and
     # 3d-symmetric with the 6x6 double summand; 2d has a single count, so
     # zip drops the second piece
@@ -691,8 +695,7 @@ def detect_evolution_summands(case: str, n: int, seed: int = 0,
     pieces = list(zip((tilde, second), census.counts))
     if block is None:
         from .lattice import evolve
-        d = len(a)
-        block = evolve(BrickSpec(d, (1,) * d, RingMatrix.from_rows(field, a)), n)[-1]
+        block = evolve(brick, n)[-1]
     total_dim = sum(p.rows * mult for p, mult in pieces)
     if block.rows != total_dim:
         return Verdict(False, witness={"failed": "dimension",

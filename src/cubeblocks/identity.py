@@ -32,9 +32,6 @@ class Verdict:
         return out
 
 
-DEFAULT_TRIALS = 32
-
-
 def failure_bound_log2(degree_bound: int, q: int, trials: int) -> float:
     """log2 of (degree_bound / q)^trials, the chance that a nonzero
     polynomial of that degree vanishes at all sampled points.  With no

@@ -18,7 +18,7 @@ from cubeblocks import dim4 as X
 from cubeblocks.census import BoundaryConditions, count_configs
 from cubeblocks.errors import SingularMatrixError
 from cubeblocks.fields import FiniteField
-from cubeblocks.lattice import LatticeSpec, assemble_block
+from cubeblocks.lattice import BrickSpec, LatticeSpec, assemble_block
 from cubeblocks.matrices import RingMatrix, charpoly, mat_det, rank
 from cubeblocks.pointmap import brute_force_census
 from reference import (
@@ -270,7 +270,7 @@ def test_criterion_10_chain_folding():
         vals[3][3] = F256.zero
         if all(vals[i][j] for i in range(3) for j in range(3)):
             break
-    brick = X.Brick4(RingMatrix.from_rows(F256, vals))
+    brick = BrickSpec(4, (1, 1, 1, 1), RingMatrix.from_rows(F256, vals))
     for case in X.CASES:
         red = X.reduce_chain_4d(brick, 3, case)
         for i in range(3):
@@ -283,17 +283,17 @@ def test_criterion_10_chain_folding():
                         want[k, k + 1] = c
                 if case == "Periodic4":
                     want[2, 0] = c
-                ok &= red.algebra.matrix(red.entries[i][j]) == want
+                ok &= red.ring.matrix(red.matrix[i, j]) == want
     # commutativity and structure tags for longer chains: circulant when
     # periodic, upper triangular Toeplitz for the zero-input chain
     for l in (2, 3, 4):
         while True:
-            b = X.Brick4.random(F256, rng)
-            if F256.pow(b.b44, l) != F256.one:
+            b = random_brick(F256, 4, (1, 1, 1, 1), rng)
+            if F256.pow(b.matrix[3, 3], l) != F256.one:
                 break
         for case in X.CASES:
             red = X.reduce_chain_4d(b, l, case)
-            mats = [red.algebra.matrix(x) for row in red.entries for x in row]
+            mats = [red.ring.matrix(x) for x in red.matrix.data]
             for m in mats:
                 for i in range(l):
                     for j in range(l):
@@ -327,7 +327,7 @@ def test_criterion_11_stratification():
     while min(done.values()) < 10:
         vals = [[F256.sample(rng) for _ in range(4)] for _ in range(4)]
         vals[3][3] = F256.zero
-        brick = X.Brick4(RingMatrix.from_rows(F256, vals))
+        brick = BrickSpec(4, (1, 1, 1, 1), RingMatrix.from_rows(F256, vals))
         for case in X.CASES:
             if done[case] >= 10:
                 continue

@@ -307,6 +307,22 @@ def test_b3_without_trials_is_exit_2_at_p2(argv, capsys, monkeypatch):
     assert captured.err == f"error: need at least one trial, got {argv[-1]}\n"
 
 
+@pytest.mark.parametrize("argv", [["2d", "--trials", "-5", "--p", "4"],
+                                  ["dim4", "--p", "13"],
+                                  ["diag3", "--trials", "3"],
+                                  ["symmetric", "--p", "2"],
+                                  ["algebra", "--trials", "1"]])
+def test_suites_without_b3_options_refuse_them(argv, capsys):
+    # only b3 and all read --p and --trials; another suite given them
+    # would run without them and report verified
+    assert main(["verify", *argv, "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    for opt in ("--p", "--trials"):
+        assert (opt in argv) == (opt in captured.err), opt
+
+
 def test_b3_cap_dim_refuses_before_assembly(capsys, monkeypatch):
     # the p = 11 block has dimension 3 * 11^2 = 363
     def fail(*args, **kwargs):

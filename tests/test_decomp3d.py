@@ -488,7 +488,7 @@ def test_detection_witness_matches_per_point_loop(seed, monkeypatch):
     block[0, 0] = field.add(block[0, 0], field.one)
     monkeypatch.setattr(lattice, "evolve", lambda *args, **kwargs: [block])
     verdict = D.detect_evolution_summands("3d-generic", 1, seed=seed,
-                                          field=field, entries=a)
+                                          brick=brick)
 
     tilde = RingMatrix.from_rows(field, [[field.pow(x, 2) for x in row] for row in a])
     counts = D.evolution_census_closed_form("3d-generic", 1).counts

@@ -7,14 +7,16 @@ from cubeblocks import dim4 as X
 from cubeblocks.census import BoundaryConditions
 from cubeblocks.errors import InputError, SingularMatrixError
 from cubeblocks.fields import FiniteField
+from cubeblocks.lattice import BrickSpec
 from cubeblocks.matrices import RingMatrix, mat_det, mat_inverse
-from reference import circulant_det_charp, mat_add, perturb_cube
+from reference import circulant_det_charp, mat_add, perturb_cube, random_brick
 
 F = FiniteField(2, 8)
+UNIT4 = (1, 1, 1, 1)
 
 
 def _brick(vals, field=F):
-    return X.Brick4(RingMatrix.from_rows(field, vals))
+    return BrickSpec(4, UNIT4, RingMatrix.from_rows(field, vals))
 
 
 def _random_b44_zero(rng, field=F):
@@ -57,16 +59,17 @@ def test_reduced_entries_b44_zero():
                         want[k, k + 1] = c
                 if case == "Periodic4":
                     want[2, 0] = c
-                assert red.algebra.matrix(red.entries[i][j]) == want, (case, i, j)
+                assert red.ring.matrix(red.matrix[i, j]) == want, (case, i, j)
 
 
 def _matrix_route(b, l, case):
     """Folded entries as l x l matrices: k_ij 1 + l_i m_j (1 - b44 T)^-1 T
     with T the shift matrix of the case."""
+    a = b.matrix
     t = X.shift_matrix(F, l, case)
-    w = mat_inverse(RingMatrix.identity(F, l) - t.scalar_mul(b.b44)) @ t
-    return [[mat_add(RingMatrix.scalar(F, l, b.k[i, j]),
-                     w.scalar_mul(F.mul(b.l_col[i], b.m_row[j])))
+    w = mat_inverse(RingMatrix.identity(F, l) - t.scalar_mul(a[3, 3])) @ t
+    return [[mat_add(RingMatrix.scalar(F, l, a[i, j]),
+                     w.scalar_mul(F.mul(a[i, 3], a[3, j])))
              for j in range(3)] for i in range(3)]
 
 
@@ -78,14 +81,15 @@ def test_reduction_commutes_and_tags():
     for l in (1, 2, 3, 4):
         for _ in range(3):
             while True:
-                b = X.Brick4.random(F, rng)
-                if F.pow(b.b44, l) != F.one:
+                b = random_brick(F, 4, UNIT4, rng)
+                if F.pow(b.matrix[3, 3], l) != F.one:
                     break
             for case in X.CASES:
                 red = X.reduce_chain_4d(b, l, case)
-                assert red.algebra.periodic == (case == "Periodic4")
+                assert (red.d, red.thin_dims) == (3, (1, 1, 1))
+                assert red.ring.periodic == (case == "Periodic4")
                 ref = _matrix_route(b, l, case)
-                got = [[red.algebra.matrix(x) for x in row] for row in red.entries]
+                got = [[red.ring.matrix(x) for x in row] for row in red.matrix.to_rows()]
                 assert got == ref, (l, case)
                 flat = [x for row in ref for x in row]
                 assert all(x @ y == y @ x for x in flat for y in flat)
@@ -118,7 +122,7 @@ def test_nondegeneracy_routes_agree():
     # ever disagree, so running it over random bricks is the check
     rng = random.Random(4)
     for _ in range(10):
-        b = X.Brick4.random(F, rng)
+        b = random_brick(F, 4, UNIT4, rng)
         for case in X.CASES:
             try:
                 X.nondegeneracy_4d(b, case, 1)
@@ -161,8 +165,8 @@ def test_stratification_conjugation_failure_witness(case, monkeypatch):
 def test_stratification_requires_b44_zero():
     rng = random.Random(6)
     while True:
-        b = X.Brick4.random(F, rng)
-        if b.b44 != F.zero:
+        b = random_brick(F, 4, UNIT4, rng)
+        if b.matrix[3, 3] != F.zero:
             break
     with pytest.raises(InputError):
         X.verify_stratification(b, 1, "Periodic4")
@@ -177,3 +181,17 @@ def test_cross_check_small_field():
                      ("Periodic", "ZeroInput", "Free")):
             v = X.cross_check_4d(b, case, BoundaryConditions(tags))
             assert v.ok, (case, tags, v.witness)
+
+
+@pytest.mark.parametrize("d,thin", [(3, (1, 1, 1)), (4, (2, 1, 1, 1))],
+                         ids=["three-axes", "thick-first-axis"])
+@pytest.mark.parametrize("call", [
+    lambda b: X.reduce_chain_4d(b, 2, "Periodic4"),
+    lambda b: X.nondegeneracy_4d(b, "Periodic4", 1),
+    lambda b: X.verify_stratification(b, 1, "Periodic4"),
+    lambda b: X.cross_check_4d(b, "Periodic4", BoundaryConditions.toric(3)),
+], ids=["reduce", "nondegeneracy", "stratification", "cross-check"])
+def test_entry_points_refuse_other_brick_shapes(call, d, thin):
+    b = random_brick(F, d, thin, random.Random(8))
+    with pytest.raises(InputError, match="4-axis brick with unit thin spaces"):
+        call(b)

@@ -62,6 +62,7 @@ CALLS = {
     "reduce4d-zeroinput": ["reduce4d", "--brick", B4, "--case", "ZeroInput4",
                            "--n", "2"],
     "error-b3-prime": ["verify", "b3", "--p", "13"],
+    "error-2d-p": ["verify", "2d", "--p", "3"],
     "error-malformed-brick": ["census", "--brick", '{"nonsense": true}'],
     "error-cap-dim": ["assemble", "--brick", GF4_CUBE, "--edge", "4",
                       "--cap-dim", "10"],
