@@ -1,15 +1,22 @@
 """The array backend for matrices over GF(p^m).
 
-A matrix is an int64 ndarray of shape (rows, cols, m) holding the
-polynomial-basis coefficients of each entry, reduced mod p.  Every
-Gaussian elimination over a finite field in the package runs here, on
-one forward-elimination kernel: ``rank``, ``det`` and ``rref`` build on
-it, and ``matrices`` routes its field routines through them.  The one
-similarity reduction is ``hessenberg``, to upper Hessenberg form; on
-that form ``det_shifted`` evaluates det(H - x) at many points at once by
-the division-free recurrence in the leading principal minors, so a
-characteristic polynomial is sampled at n + 1 points for the cost of one
-reduction instead of n + 1 eliminations.
+A matrix is an ndarray of shape (rows, cols, m) holding the
+polynomial-basis coefficients of each entry, reduced mod p, stored in
+``coeff_dtype(p)``: the narrowest signed integer dtype that holds every
+value from -(p-1) to 2(p-1), so that the difference of two reduced
+arrays and the sum of two are exact in it (int8 up to p = 61, int16 up
+to 16381, int32 up to 1073741789, else int64).  Every function here
+that returns a coefficient array returns it in that dtype, except
+``fold_reduce``, which builds the multiplication tensor once per field,
+and ``reduced_product``, which stays in its product dtype for assembly.
+Every Gaussian elimination over a finite field in the package runs
+here, on one forward-elimination kernel: ``rank``, ``det`` and ``rref``
+build on it, and ``matrices`` routes its field routines through them.
+The one similarity reduction is ``hessenberg``, to upper Hessenberg
+form; on that form ``det_shifted`` evaluates det(H - x) at many points
+at once by the division-free recurrence in the leading principal
+minors, so a characteristic polynomial is sampled at n + 1 points for
+the cost of one reduction instead of n + 1 eliminations.
 
 Products go through the regular representation.  The multiplication
 tensor T[a, b] = x^a * x^b mod f is built once per field by
@@ -21,10 +28,12 @@ That product runs in one of three exact tiers, chosen from the shapes
 and from p alone: float32 BLAS while every partial sum stays below 2^24,
 float64 BLAS below 2^53, and past that int64 on reduced operands,
 summing as many terms at a time as stay below 2^63; where a single
-product (p-1)^2 reaches 2^63 it raises ``InputError``.  Float results
-are reduced mod p in their own dtype (see ``_reduce``), so block
-assembly keeps its panel accumulator in the product dtype and converts
-to int64 once per panel, as it writes the panel into the block.
+product (p-1)^2 reaches 2^63 it raises ``InputError``.  Operands widen
+to the tier's dtype only inside the product.  Float results are reduced
+mod p in their own dtype (see ``_reduce``), so block assembly keeps its
+panel accumulator in the product dtype and narrows it to
+``coeff_dtype(p)`` once per panel, as it writes the panel into the
+block.
 """
 
 from __future__ import annotations
@@ -40,6 +49,14 @@ from .fields import FiniteField
 # (dtype, bound): integer sums below the bound are exact in the dtype
 _FLOAT_TIERS = ((np.float32, 1 << 24), (np.float64, 1 << 53))
 _INT_EXACT = 1 << 63
+# (dtype, largest value) for the storage dtypes narrower than int64
+_COEFF_DTYPES = tuple((dt, int(np.iinfo(dt).max)) for dt in (np.int8, np.int16, np.int32))
+
+
+def coeff_dtype(p: int):
+    """The narrowest signed integer dtype holding -(p-1) .. 2(p-1): the
+    storage dtype of coefficient arrays over F_p (int64 past int32)."""
+    return next((dt for dt, top in _COEFF_DTYPES if 2 * (p - 1) <= top), np.int64)
 
 
 def _int_dtype(field: FiniteField):
@@ -60,7 +77,7 @@ def from_array(field: FiniteField, arr: np.ndarray) -> matrices.RingMatrix:
 
 
 def ints_to_coeffs(field: FiniteField, vals: np.ndarray) -> np.ndarray:
-    out = np.empty(vals.shape + (field.m,), dtype=np.int64)
+    out = np.empty(vals.shape + (field.m,), dtype=coeff_dtype(field.p))
     v = vals.copy()
     for i in range(field.m):
         out[..., i] = v % field.p
@@ -165,13 +182,13 @@ def _product(p: int, x: np.ndarray, y: np.ndarray, xmax: int, ymax: int,
     integers at most xmax and ymax, and a bound on the entries returned.
 
     The product runs in the first exact tier for its bound (see
-    ``_tier_product``).  The result is reduced mod p, as int64, unless
+    ``_tier_product``).  The result is reduced mod p, in coeff_dtype(p), unless
     reduce is false and a float tier was exact, in which case it is the
     unreduced float product."""
     out, bound = _tier_product(p, x, y, xmax, ymax)
     if not reduce:
         return out, bound
-    return _reduce(out, p, bound).astype(np.int64, copy=False), p - 1
+    return _reduce(out, p, bound).astype(coeff_dtype(p), copy=False), p - 1
 
 
 @functools.lru_cache(maxsize=8)
@@ -218,21 +235,22 @@ def mul_regular(field: FiniteField, x: np.ndarray, reg: np.ndarray) -> np.ndarra
 
 def sub(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a - b for arrays of reduced entries: each difference is above -p,
-    so p is added where it is negative (where d >> 63 is -1)."""
+    so p is added where it is negative (where its sign bit, shifted down
+    arithmetically, gives -1)."""
     d = a - b
-    d += (d >> 63) & field.p
+    d += (d >> (8 * d.itemsize - 1)) & field.p
     return d
 
 
 def eye(field: FiniteField, n: int) -> np.ndarray:
-    out = np.zeros((n, n, field.m), dtype=np.int64)
+    out = np.zeros((n, n, field.m), dtype=coeff_dtype(field.p))
     out[np.arange(n), np.arange(n), 0] = 1
     return out
 
 
 def scalar_matrix(field: FiniteField, n: int, value: int) -> np.ndarray:
-    out = np.zeros((n, n, field.m), dtype=np.int64)
-    out[np.arange(n), np.arange(n), :] = np.array(field.coeffs(value), dtype=np.int64)
+    out = np.zeros((n, n, field.m), dtype=coeff_dtype(field.p))
+    out[np.arange(n), np.arange(n), :] = field.coeffs(value)
     return out
 
 
@@ -296,14 +314,19 @@ def _forward(field: FiniteField, a: np.ndarray) -> tuple[list[int], list[int], i
     return pivots, values, swaps
 
 
+def _reduced(field: FiniteField, a: np.ndarray) -> np.ndarray:
+    """A working copy of a, reduced mod p, in coeff_dtype(p)."""
+    return (a % field.p).astype(coeff_dtype(field.p), copy=False)
+
+
 def rank(field: FiniteField, a: np.ndarray) -> int:
-    return len(_forward(field, a % field.p)[0])
+    return len(_forward(field, _reduced(field, a))[0])
 
 
 def det(field: FiniteField, a: np.ndarray) -> int:
     """Determinant of a square array."""
     n = a.shape[0]
-    pivots, values, swaps = _forward(field, a % field.p)
+    pivots, values, swaps = _forward(field, _reduced(field, a))
     if len(pivots) < n:
         return field.zero
     out = field.neg(field.one) if swaps % 2 else field.one
@@ -329,7 +352,7 @@ def hessenberg(field: FiniteField, a: np.ndarray) -> np.ndarray:
     pivot, and one column update applies the inverse operation on the
     right.  One field inverse per column."""
     p = field.p
-    h = a % p
+    h = _reduced(field, a)
     n = h.shape[0]
     for c in range(n - 2):
         nz = np.flatnonzero(h[c + 1:, c].any(axis=1))
@@ -364,9 +387,9 @@ def det_shifted(field: FiniteField, h: np.ndarray, points: list[int]) -> list[in
     coefficient row against the table of q_i and no inverse."""
     p, m, n = field.p, field.m, h.shape[0]
     xs = ints_to_coeffs(field, np.array(points, dtype=_int_dtype(field)))
-    q = np.zeros((n + 1, len(points), m), dtype=np.int64)
+    q = np.zeros((n + 1, len(points), m), dtype=coeff_dtype(p))
     q[0, :, 0] = 1
-    s = np.zeros((0, m), dtype=np.int64)
+    s = np.zeros((0, m), dtype=q.dtype)
     for k in range(n):
         q[k + 1] = _mul_entries(field, (h[k, k] - xs) % p, q[k])
         if k == 0:
@@ -385,7 +408,7 @@ def rref(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form (a new array) and its pivot columns: the
     forward pass, then each pivot clears its column above it, last
     pivot first."""
-    a = a % field.p
+    a = _reduced(field, a)
     pivots = _forward(field, a)[0]
     for r in range(len(pivots) - 1, 0, -1):
         c = pivots[r]

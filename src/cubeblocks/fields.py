@@ -12,6 +12,7 @@ always yields the same field.
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 
 from .errors import InputError
@@ -404,4 +405,38 @@ class FiniteField:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteField":
-        return cls(int(obj["p"]), int(obj["m"]), tuple(obj["modulus"]))
+        """The field of a brick description's "field" object: p and m are
+        JSON integers and the modulus coefficients integers in [0, p)."""
+        p, m = json_int(obj, "p", "field."), json_int(obj, "m", "field.")
+        modulus = json_ints(obj, "modulus", "field.")
+        if any(not 0 <= c < p for c in modulus):
+            raise InputError(f"'field.modulus' coefficients must lie in [0, {p})")
+        return cls(p, m, tuple(modulus))
+
+
+# Readers of decoded JSON objects.  A value is named by its key path in
+# the brick description, where + key (where is "field." inside the field
+# object), and a missing key is reported as that path, quoted.
+
+def json_item(obj, key: str, where: str = ""):
+    if not isinstance(obj, dict):
+        raise InputError(f"{where[:-1] or 'the brick description'} must be a JSON object")
+    if key not in obj:
+        raise InputError(repr(where + key))
+    return obj[key]
+
+
+def json_int(obj, key: str, where: str = "") -> int:
+    """A JSON integer: floats, and booleans, which Python counts as ints,
+    are refused."""
+    x = json_item(obj, key, where)
+    if type(x) is not int:
+        raise InputError(f"{where + key!r} must be a JSON integer, got {json.dumps(x)}")
+    return x
+
+
+def json_ints(obj, key: str, where: str = "") -> list[int]:
+    xs = json_item(obj, key, where)
+    if not isinstance(xs, list) or any(type(x) is not int for x in xs):
+        raise InputError(f"{where + key!r} must be a list of JSON integers")
+    return xs

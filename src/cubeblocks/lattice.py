@@ -16,7 +16,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .fields import FiniteField
+from .fields import FiniteField, json_int, json_ints, json_item
 from .matrices import RingMatrix
 from . import fieldmat
 
@@ -119,12 +119,15 @@ class BrickSpec:
 
     @classmethod
     def from_json(cls, obj) -> "BrickSpec":
-        field = FiniteField.from_json(obj["field"])
-        entries = obj["entries"]
+        """A brick description: d, the thin dims and the entries are JSON
+        integers, and a missing key is reported by its key path (see the
+        JSON readers in ``fields``)."""
+        field = FiniteField.from_json(json_item(obj, "field"))
+        entries = json_item(obj, "entries")
         if any(type(x) is not int or not 0 <= x < field.q for row in entries for x in row):
             raise InputError(f"brick entries must be integers in [0, {field.q})")
         m = RingMatrix.from_rows(field, [list(row) for row in entries])
-        return cls(int(obj["d"]), tuple(obj["thin_dims"]), m)
+        return cls(json_int(obj, "d"), tuple(json_ints(obj, "thin_dims")), m)
 
 
 def assemble_block(brick: BrickSpec, spec: LatticeSpec) -> RingMatrix:
@@ -172,8 +175,9 @@ PANEL_ROWS = 64
 
 
 def _assemble_field(brick, spec):
-    """The block as a C-contiguous int64 coefficient array, built
-    PANEL_ROWS rows at a time in one reused accumulator.
+    """The block as a C-contiguous coefficient array in
+    fieldmat.coeff_dtype(p), built PANEL_ROWS rows at a time in one
+    reused accumulator.
 
     The accumulator is column-major, (column, coefficient, row), so a
     layer's gather and scatter move whole columns of the panel, and it
@@ -188,7 +192,7 @@ def _assemble_field(brick, spec):
     reg_t = fieldmat.regular(field, fieldmat.to_array(field, brick.matrix)).T
     reg_t = np.ascontiguousarray(reg_t, dtype=dtype)
     layers = spec.layers()
-    out = np.empty((n, n, m), dtype=np.int64)
+    out = np.empty((n, n, m), dtype=fieldmat.coeff_dtype(field.p))
     buf = np.empty(n * m * min(PANEL_ROWS, n), dtype=dtype)
     for r0 in range(0, n, PANEL_ROWS):
         rows = min(PANEL_ROWS, n - r0)

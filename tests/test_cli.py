@@ -190,6 +190,47 @@ def test_brick_entry_outside_field_is_exit_2(entries, capsys):
     assert "error:" in captured.err and "Traceback" not in captured.err
 
 
+def _header_brick(**changes):
+    """A valid GF(2) cube brick description with fields replaced; a
+    change to p, m or modulus goes into the field object, None drops the
+    key."""
+    brick = {"d": 3, "thin_dims": [1, 1, 1], "entries": [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+             "field": {"p": 2, "m": 1, "modulus": [0, 1]}}
+    for key, value in changes.items():
+        obj = brick["field"] if key in ("p", "m", "modulus") else brick
+        if value is None:
+            del obj[key]
+        else:
+            obj[key] = value
+    return json.dumps(brick)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("d", 3.9, "'d' must be a JSON integer, got 3.9"),
+    ("thin_dims", [1.7, 1, 1], "'thin_dims' must be a list of JSON integers"),
+    ("p", 2.5, "'field.p' must be a JSON integer, got 2.5"),
+    ("m", True, "'field.m' must be a JSON integer, got true"),
+    ("modulus", [2, 1], "'field.modulus' coefficients must lie in [0, 2)")],
+    ids=["d", "thin_dims", "p", "m", "modulus"])
+def test_non_integer_brick_header_is_exit_2(key, value, message, capsys):
+    # each was truncated (or, for the modulus, reduced mod p) and
+    # assembled; a header field must be a JSON integer as it stands
+    assert main(["assemble", "--brick", _header_brick(**{key: value}),
+                 "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == f"error: malformed brick description: {message}\n"
+
+
+@pytest.mark.parametrize("key,path", [("modulus", "'field.modulus'"), ("m", "'field.m'"),
+                                      ("thin_dims", "'thin_dims'")],
+                         ids=["modulus", "m", "thin_dims"])
+def test_missing_brick_key_names_its_path(key, path, capsys):
+    assert main(["assemble", "--brick", _header_brick(**{key: None}),
+                 "--no-timestamp"]) == 2
+    assert capsys.readouterr().err == f"error: malformed brick description: {path}\n"
+
+
 @pytest.mark.parametrize("field,d", [('{"p": 1e400, "m": 1, "modulus": [0, 1]}', "2"),
                                      ('{"p": 2, "m": 1, "modulus": [0, 1]}', "1e400"),
                                      ('{"p": 2, "m": -1e400, "modulus": [0, 1]}', "2"),

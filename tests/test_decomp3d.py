@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from cubeblocks import decomp3d as D
@@ -349,6 +351,25 @@ def test_b3_trial_takes_one_rank_and_six_products(monkeypatch):
     D._b3_pass.cache_clear()
     assert scalar.ok and spectrum.ok
     assert counts == {"rank": 3, "matmul": 18}
+
+
+def test_b3_trial_at_p7_stays_in_its_memory_budget():
+    # coefficient arrays at p = 7 are int8: one p = 7 trial peaks at about
+    # 3.6 MiB of traced allocations, against 6.6 MiB when they were int64
+    field = FiniteField(7, D.SAMPLE_DEGREE)
+    _, blocks, _ = D._sampled_cube_arrays(field, random.Random(1))
+    assert all(blk.dtype == np.int8 for blk in blocks.values())
+    D._b3_pass.cache_clear()
+    D._b3_pass(3, 1, 0)  # warm-up: the lazy imports and per-field caches
+    tracemalloc.start()
+    try:
+        scalar, spectrum = D._b3_pass(7, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        D._b3_pass.cache_clear()
+    assert scalar.ok and spectrum.ok
+    assert peak < 4.5 * 2 ** 20
 
 
 @pytest.mark.parametrize("entry,pair", [

@@ -23,7 +23,7 @@ import pytest
 from cubeblocks import fieldmat
 from cubeblocks.cli import main
 from cubeblocks.errors import InputError, SingularMatrixError
-from cubeblocks.fields import FiniteField
+from cubeblocks.fields import FiniteField, is_prime
 from cubeblocks.matrices import RingMatrix, charpoly, mat_det, mat_inverse, rank, rref
 from reference import direct_sum, materialize_map
 
@@ -108,7 +108,7 @@ def test_product_switches_to_int64_at_2_53(k, dtype):
     raw, _ = fieldmat._product(p, x, y, p - 1, p - 1, reduce=False)
     assert raw.dtype == dtype
     got, bound = fieldmat._product(p, x, y, p - 1, p - 1)
-    assert bound == p - 1 and got.dtype == np.int64
+    assert bound == p - 1 and got.dtype == fieldmat.coeff_dtype(p)
     assert (got == k * (p - 2) ** 2 % p).all()
 
 
@@ -124,7 +124,7 @@ def test_product_switches_to_float64_at_2_24(k, dtype):
     raw, _ = fieldmat._product(p, x, y, p - 1, p - 1, reduce=False)
     assert raw.dtype == dtype and (raw == k * (p - 2) ** 2).all()
     got, bound = fieldmat._product(p, x, y, p - 1, p - 1)
-    assert bound == p - 1 and got.dtype == np.int64
+    assert bound == p - 1 and got.dtype == fieldmat.coeff_dtype(p)
     assert (got == k * (p - 2) ** 2 % p).all()
     kept = fieldmat.reduced_product(p, x, y)
     assert kept.dtype == dtype and (kept == k * (p - 2) ** 2 % p).all()
@@ -390,3 +390,78 @@ def test_int64_products_slice_long_sums():
     y = np.full((48, 3), p - 1, dtype=np.int64)
     got, bound = fieldmat._product(p, x, y, p - 1, p - 1)
     assert bound == p - 1 and (got == 48 % p).all()
+
+
+# the largest prime whose values -(p-1) .. 2(p-1) fit each signed dtype,
+# and the next prime, which needs the next dtype
+@pytest.mark.parametrize("p,dtype", [
+    (2, np.int8), (61, np.int8), (67, np.int16), (16381, np.int16), (16411, np.int32),
+    (1073741789, np.int32), (1073741827, np.int64), (2 ** 31 - 1, np.int64)])
+def test_coeff_dtype_is_the_narrowest_exact_one(p, dtype):
+    assert is_prime(p)
+    assert fieldmat.coeff_dtype(p) == dtype
+    assert 2 * (p - 1) <= np.iinfo(dtype).max
+    narrower = [dt for dt in (np.int8, np.int16, np.int32)
+                if np.iinfo(dt).max < np.iinfo(dtype).max]
+    assert all(2 * (p - 1) > np.iinfo(dt).max for dt in narrower)
+
+
+def _extreme(f, nr, nc, rng):
+    """Entries whose coefficients are each 0 or p - 1, so that sums of
+    two reduced arrays reach 2(p - 1) and differences -(p - 1)."""
+    return RingMatrix(f, nr, nc, [
+        sum(rng.choice((0, f.p - 1)) * f.p ** i for i in range(f.m))
+        for _ in range(nr * nc)])
+
+
+def _poly_at(f, coeffs, x):
+    out = f.zero
+    for c in reversed(coeffs):
+        out = f.add(f.mul(out, x), c)
+    return out
+
+
+BOUNDARY_FIELDS = [(61, 1), (61, 2), (67, 1), (67, 2), (16381, 1), (16411, 1),
+                   (1073741789, 1), (1073741827, 1), (2 ** 31 - 1, 1)]
+
+
+@pytest.mark.parametrize("p,m", BOUNDARY_FIELDS)
+def test_kernels_at_coeff_dtype_boundaries_match_generic(p, m):
+    from cubeblocks.lattice import BrickSpec, LatticeSpec, _assemble_field, _assemble_generic
+    f = FiniteField(p, m)
+    dtype = fieldmat.coeff_dtype(p)
+    rng = random.Random(p + m)
+    n = 5
+    a, b, c = _extreme(f, n, n, rng), _extreme(f, n, n, rng), _extreme(f, n, 3, rng)
+    low = _extreme(f, n, 2, rng) @ _extreme(f, 2, n, rng)
+    arr = lambda mat: fieldmat.to_array(f, mat)
+    assert arr(a).dtype == dtype
+
+    got = fieldmat.sub(f, arr(a), arr(b))
+    assert got.dtype == dtype and fieldmat.from_array(f, got) == a - b
+    got = fieldmat.matmul(f, arr(a), arr(c))
+    assert got.dtype == dtype and fieldmat.from_array(f, got) == a @ c
+
+    for mat in (a, b, low):
+        # det(x - M) at x = 0 is (-1)^n det(M)
+        poly = charpoly(mat)
+        assert fieldmat.det(f, arr(mat)) == (f.neg(poly[0]) if n % 2 else poly[0])
+        assert fieldmat.rank(f, arr(mat)) == _minor_rank(mat)
+        red, pivots = fieldmat.rref(f, arr(mat))
+        assert red.dtype == dtype
+        rows = fieldmat.from_array(f, red[:len(pivots)])
+        assert rows.submatrix(range(len(pivots)), pivots) == RingMatrix.identity(f, len(pivots))
+        # each row of M is its pivot-column entries times the rref rows
+        assert mat.submatrix(range(n), pivots) @ rows == mat
+        h = fieldmat.hessenberg(f, arr(mat))
+        assert h.dtype == dtype and _is_upper_hessenberg(h)
+        points = [0, 1, p - 1, rng.randrange(f.q)]
+        sign = f.neg(f.one) if n % 2 else f.one
+        assert fieldmat.det_shifted(f, h, points) == [
+            f.mul(sign, _poly_at(f, poly, x)) for x in points]
+
+    brick = BrickSpec(3, (1, 1, 1), _extreme(f, 3, 3, rng))
+    spec = LatticeSpec(3, 2)
+    fast = _assemble_field(brick, spec)
+    assert fast.dtype == dtype
+    assert fieldmat.from_array(f, fast) == _assemble_generic(brick, spec)

@@ -196,6 +196,13 @@ def test_json_roundtrip():
     assert g.p == 3 and g.m == 4 and g.modulus == f.modulus
 
 
+def test_constructor_reduces_a_python_modulus():
+    # a JSON description must give the coefficients in [0, p)
+    # (tests/test_cli.py); a caller in Python may pass any integers
+    f = FiniteField(3, 2, (4, -3, 7))
+    assert f.modulus == FiniteField(3, 2, (1, 0, 1)).modulus == (1, 0, 1)
+
+
 def test_build_extension_field():
     # GF(p^m) is built by the constructor with its lowest irreducible modulus
     f = FiniteField(2, 5)

@@ -247,7 +247,7 @@ def test_assembly_matches_generic_in_every_product_tier(p, m, thin, dtype):
         field.q - 1 - rng.randrange(3) for _ in range(n * n)]))
     spec = LatticeSpec(3, 2, thin)
     fast = _assemble_field(brick, spec)
-    assert fast.dtype == np.int64
+    assert fast.dtype == fieldmat.coeff_dtype(p)
     assert fieldmat.from_array(field, fast) == _assemble_generic(brick, spec)
     for _ in range(2):
         order = random_linear_extension(spec, rng)
@@ -268,7 +268,7 @@ def test_panelled_assembly_matches_row_major(p, m, d, l, thin, ordering):
     brick = random_brick(field, d, thin, rng)
     spec = LatticeSpec(d, l, thin, ordering)
     fast = _assemble_field(brick, spec)
-    assert fast.dtype == np.int64 and fast.flags.c_contiguous
+    assert fast.dtype == fieldmat.coeff_dtype(p) and fast.flags.c_contiguous
     orders = [layered_order(spec)]
     if l ** d <= 125:  # a random extension cuts into many short reference runs
         orders += [random_linear_extension(spec, rng) for _ in range(2)]
