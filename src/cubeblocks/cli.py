@@ -69,8 +69,12 @@ def _emit(report: dict, args) -> None:
             lines.append(f"{key},{sval}")
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(
+                f"cannot write report to {args.out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -312,6 +316,9 @@ def cmd_assemble(args) -> int:
 
 
 def cmd_census(args) -> int:
+    if args.cap_points is not None and not args.oracle:
+        raise InputError("--cap-points bounds the --oracle enumeration; "
+                         "census without --oracle does not read it")
     brick = _load_brick(args.brick)
     spec = LatticeSpec(brick.d, args.edge, brick.thin_dims)
     dim = spec.dimension
@@ -441,8 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--cap-dim", type=int, default=4096,
                         help="refuse blocks larger than this dimension (default 4096)")
-    common.add_argument("--cap-points", type=int, default=None,
-                        help="refuse brute-force scans over more points")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp for reproducible reports")
 
@@ -476,6 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(Periodic, ZeroInput, Free)")
     p_cen.add_argument("--oracle", action="store_true",
                        help="cross-check by enumerating every configuration")
+    p_cen.add_argument("--cap-points", type=int, default=None,
+                       help="with --oracle, refuse enumerations over more points")
     p_cen.set_defaults(func=cmd_census)
 
     p_evo = sub.add_parser("evolve", parents=[common],

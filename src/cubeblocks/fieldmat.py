@@ -109,24 +109,29 @@ def fold_reduce(field: FiniteField, conv: np.ndarray) -> np.ndarray:
     return res % field.p
 
 
+def _tier(bound: int):
+    """The first of float32 and float64 in which integer sums below bound
+    are exact, else int64."""
+    return next((dt for dt, exact in _FLOAT_TIERS if bound < exact), np.int64)
+
+
 def product_dtype(p: int, k: int):
     """The dtype in which products of reduced operands over F_p, summing
-    k terms, run: float32 or float64 while k (p-1)^2 is exact in it,
-    else int64."""
-    bound = k * (p - 1) ** 2
-    return next((dt for dt, exact in _FLOAT_TIERS if bound < exact), np.int64)
+    k terms, run."""
+    return _tier(k * (p - 1) ** 2)
 
 
 def _tier_product(p: int, x: np.ndarray, y: np.ndarray, xmax: int,
                   ymax: int) -> tuple[np.ndarray, int]:
-    """x @ y in the first exact tier for its bound k * xmax * ymax, and a
-    bound on the entries returned: the float product, unreduced, or the
-    int64 product reduced mod p."""
+    """x @ y (numpy matmul broadcasting) for arrays of nonnegative
+    integers at most xmax and ymax, in the tier of its bound k * xmax *
+    ymax, and a bound on the entries returned: the float product,
+    unreduced, or the int64 product reduced mod p."""
     k = x.shape[-1]
     bound = k * xmax * ymax
-    for dtype, exact in _FLOAT_TIERS:
-        if bound < exact:
-            return np.matmul(x.astype(dtype, copy=False), y.astype(dtype, copy=False)), bound
+    dtype = _tier(bound)
+    if dtype is not np.int64:
+        return np.matmul(x.astype(dtype, copy=False), y.astype(dtype, copy=False)), bound
     step = (_INT_EXACT - 1) // (p - 1) ** 2
     if step == 0:
         raise InputError(f"F_{p} is too large for exact int64 products")
@@ -176,19 +181,9 @@ def reduced_product(p: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _reduce(out, p, bound)
 
 
-def _product(p: int, x: np.ndarray, y: np.ndarray, xmax: int, ymax: int,
-             reduce: bool = True) -> tuple[np.ndarray, int]:
-    """x @ y (numpy matmul broadcasting) for arrays of nonnegative
-    integers at most xmax and ymax, and a bound on the entries returned.
-
-    The product runs in the first exact tier for its bound (see
-    ``_tier_product``).  The result is reduced mod p, in coeff_dtype(p), unless
-    reduce is false and a float tier was exact, in which case it is the
-    unreduced float product."""
-    out, bound = _tier_product(p, x, y, xmax, ymax)
-    if not reduce:
-        return out, bound
-    return _reduce(out, p, bound).astype(coeff_dtype(p), copy=False), p - 1
+def _product(p: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y mod p for operands with entries in [0, p), in coeff_dtype(p)."""
+    return reduced_product(p, x, y).astype(coeff_dtype(p), copy=False)
 
 
 @functools.lru_cache(maxsize=8)
@@ -212,9 +207,10 @@ def matmul(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     unreduced; the product is reduced once, at the end."""
     p, m = field.p, field.m
     n, k = a.shape[0], a.shape[1]
-    areg, bound = _product(p, a.reshape(-1, m), _tensor(field), p - 1, p - 1, reduce=False)
+    areg, bound = _tier_product(p, a.reshape(-1, m), _tensor(field), p - 1, p - 1)
     bt = b.transpose(1, 0, 2).reshape(b.shape[1], k * m)
-    return _product(p, bt, areg.reshape(n, k * m, m), p - 1, bound)[0]
+    out, bound = _tier_product(p, bt, areg.reshape(n, k * m, m), p - 1, bound)
+    return _reduce(out, p, bound).astype(coeff_dtype(p), copy=False)
 
 
 def regular(field: FiniteField, b: np.ndarray) -> np.ndarray:
@@ -222,14 +218,14 @@ def regular(field: FiniteField, b: np.ndarray) -> np.ndarray:
     matrix over F_p: row (i, s), column (j, t) holds coefficient t of
     x^s * b[i, j]."""
     k, j, m = b.shape
-    reg = _product(field.p, b.reshape(-1, m), _tensor(field), field.p - 1, field.p - 1)[0]
+    reg = _product(field.p, b.reshape(-1, m), _tensor(field))
     return reg.reshape(k, j, m, m).transpose(0, 2, 1, 3).reshape(k * m, j * m)
 
 
 def mul_regular(field: FiniteField, x: np.ndarray, reg: np.ndarray) -> np.ndarray:
     """x @ b for x of shape (..., k, m), given reg = regular(field, b)."""
     m = field.m
-    out = _product(field.p, x.reshape(-1, reg.shape[0]), reg, field.p - 1, field.p - 1)[0]
+    out = _product(field.p, x.reshape(-1, reg.shape[0]), reg)
     return out.reshape(x.shape[:-2] + (reg.shape[1] // m, m))
 
 
@@ -243,9 +239,7 @@ def sub(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def eye(field: FiniteField, n: int) -> np.ndarray:
-    out = np.zeros((n, n, field.m), dtype=coeff_dtype(field.p))
-    out[np.arange(n), np.arange(n), 0] = 1
-    return out
+    return scalar_matrix(field, n, field.one)
 
 
 def scalar_matrix(field: FiniteField, n: int, value: int) -> np.ndarray:
@@ -338,10 +332,9 @@ def det(field: FiniteField, a: np.ndarray) -> int:
 def _mul_entries(field: FiniteField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x * y entry by entry, for coefficient arrays of one shape (..., m):
     each entry of x times the regular representation of its partner."""
-    p, m = field.p, field.m
-    yreg = _product(p, y.reshape(-1, m), _tensor(field), p - 1, p - 1)[0]
-    out = _product(p, x.reshape(-1, 1, m), yreg.reshape(-1, m, m), p - 1, p - 1)[0]
-    return out.reshape(x.shape)
+    m = field.m
+    yreg = regular(field, y.reshape(-1, 1, m)).reshape(-1, m, m)
+    return _product(field.p, x.reshape(-1, 1, m), yreg).reshape(x.shape)
 
 
 def hessenberg(field: FiniteField, a: np.ndarray) -> np.ndarray:

@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import InputError
 
 
@@ -96,21 +98,25 @@ def _ppowmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
     return result
 
 
+def _monic(f: list[int], p: int) -> list[int]:
+    inv = pow(f[-1], p - 2, p)
+    return [c * inv % p for c in f]
+
+
 def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = a[:], b[:]
     while b:
-        # make b monic for _pmod
-        lead = b[-1]
-        if lead != 1:
-            inv = pow(lead, p - 2, p)
-            b = [(c * inv) % p for c in b]
+        b = _monic(b, p)  # _pmod divides by a monic polynomial
         a, b = b, _pmod(a, b, p)
-    if a:
-        lead = a[-1]
-        if lead != 1:
-            inv = pow(lead, p - 2, p)
-            a = [(c * inv) % p for c in a]
-    return a
+    return _monic(a, p) if a else a
+
+
+def _digits(x: int, p: int, m: int) -> list[int]:
+    """The m lowest base-p digits of x, lowest first."""
+    out = []
+    for _ in range(m):
+        out.append(x % p)
+        x //= p
+    return out
 
 
 def _psub(a: list[int], b: list[int], p: int) -> list[int]:
@@ -149,12 +155,7 @@ def find_irreducible(p: int, m: int) -> tuple[int, ...]:
     if m == 1:
         return (0, 1)  # modulus x: plain residues
     for code in range(p ** m):
-        coeffs = []
-        c = code
-        for _ in range(m):
-            coeffs.append(c % p)
-            c //= p
-        f = coeffs + [1]
+        f = _digits(code, p, m) + [1]
         if _is_irreducible(f, p):
             return tuple(f)
     raise RuntimeError(f"no irreducible of degree {m} over F_{p}")  # unreachable
@@ -192,47 +193,27 @@ class FiniteField:
         self.modulus = modulus
         self.zero = 0
         self.one = 1 % self.q
-        # reduction rows: x^t mod modulus for t = m .. 2m-2, as coeff tuples
-        red = []
-        cur = list(modulus[:-1])
-        cur = [(-c) % p for c in cur]  # x^m = -lower coeffs
-        for _ in range(m - 1):
-            red.append(tuple(cur))
-            nxt = [0] + cur[:-1]
-            top = cur[-1]
-            if top:
-                for i in range(m):
-                    nxt[i] = (nxt[i] + top * red[0][i]) % p
-            cur = [c % p for c in nxt]
-        self._red = red
-        self._red_np = None
+        # (m-1, m) int64 array: row t-m holds x^t mod modulus, t >= m
+        self.reduction_matrix = red = np.zeros((m - 1, m), dtype=np.int64)
+        for t in range(m, 2 * m - 1):
+            row = _pmod([0] * t + [1], list(modulus), p)
+            red[t - m, :len(row)] = row
         # Kronecker slots for products at odd p (see mul): a slot never
         # exceeds (2m - 1)(p - 1)^2, so b bits hold it without a carry
         self._slot = bits = ((2 * m - 1) * (p - 1) ** 2).bit_length()
-        self._red_packed = [sum(c << bits * i for i, c in enumerate(row)) for row in red]
+        self._red_packed = [sum(c << bits * i for i, c in enumerate(row))
+                            for row in red.tolist()]
         # the modulus as a bit pattern, for products in characteristic 2
         self._modbits = sum(1 << i for i, c in enumerate(modulus) if c)
 
     # -- representation ------------------------------------------------
 
     def coeffs(self, x: int) -> list[int]:
-        out = []
-        for _ in range(self.m):
-            out.append(x % self.p)
-            x //= self.p
-        return out
+        return _digits(x, self.p, self.m)
 
     def from_int(self, k: int) -> int:
         """Embed an integer via the prime subfield."""
         return k % self.p
-
-    @property
-    def reduction_matrix(self):
-        """(m-1, m) int64 array: row t-m holds x^t mod modulus, t >= m."""
-        if self._red_np is None:
-            import numpy as np
-            self._red_np = np.array(self._red, dtype=np.int64).reshape(self.m - 1, self.m)
-        return self._red_np
 
     # -- arithmetic ----------------------------------------------------
 
@@ -241,32 +222,32 @@ class FiniteField:
             return a ^ b
         if self.m == 1:
             return (a + b) % self.p
-        out = 0
-        shift = 1
-        for _ in range(self.m):
-            out += ((a + b) % self.p) * shift
-            a //= self.p
-            b //= self.p
-            shift *= self.p
-        return out
+        return self._digitwise(a, b, 1)
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
         if self.m == 1:
             return (-a) % self.p
-        out = 0
-        shift = 1
-        for _ in range(self.m):
-            out += ((-a) % self.p) * shift
-            a //= self.p
-            shift *= self.p
-        return out
+        return self._digitwise(0, a, -1)
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        return self.add(a, self.neg(b))
+        if self.m == 1:
+            return (a - b) % self.p
+        return self._digitwise(a, b, -1)
+
+    def _digitwise(self, a: int, b: int, sign: int) -> int:
+        """a + sign * b, one base-p digit at a time (odd p, m > 1)."""
+        p = self.p
+        out, shift = 0, 1
+        for _ in range(self.m):
+            out += (a + sign * b) % p * shift
+            a //= p
+            b //= p
+            shift *= p
+        return out
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
@@ -416,13 +397,13 @@ class FiniteField:
 
 # Readers of decoded JSON objects.  A value is named by its key path in
 # the brick description, where + key (where is "field." inside the field
-# object), and a missing key is reported as that path, quoted.
+# object), and a missing key is reported as missing key '<path>'.
 
 def json_item(obj, key: str, where: str = ""):
     if not isinstance(obj, dict):
         raise InputError(f"{where[:-1] or 'the brick description'} must be a JSON object")
     if key not in obj:
-        raise InputError(repr(where + key))
+        raise InputError(f"missing key {where + key!r}")
     return obj[key]
 
 

@@ -4,9 +4,9 @@ The `cubeblocks` package holds what its command line runs.  The helpers
 here build test inputs (random bricks, random linear extensions, random
 polynomials), check them (the linear-extension checker), serve as
 independent references (the row-major block assembly and its per-vertex
-slot lookup, the convolution product in
-GF(p^m), row kernels, image tables, the full-system census rank, the
-circulant determinant formula, the two-product scalar and two-rank
+slot lookup, the convolution product in GF(p^m) and the x^t reduction
+rows it folds with, row kernels, image tables, the full-system census
+rank, the circulant determinant formula, the two-product scalar and two-rank
 spectrum checks of the sampled b3 claims), re-derive an acceptance
 criterion (the line-ordering search, gauges and symmetrization) or inject
 a fault (a perturbed cube block).
@@ -166,6 +166,19 @@ def row_major_assemble(brick: BrickSpec, spec: LatticeSpec, order) -> np.ndarray
 # ----------------------------------------------------------------------
 # field products
 # ----------------------------------------------------------------------
+
+def reduction_rows(field: FiniteField) -> list[list[int]]:
+    """x^t mod the modulus for t = m .. 2m-2, as coefficient lists, by the
+    shift-and-fold recurrence: x^m is minus the lower coefficients of the
+    modulus, and x^(t+1) is x^t shifted up one degree with its top
+    coefficient folded back through the x^m row."""
+    p, m = field.p, field.m
+    rows, cur = [], [-c % p for c in field.modulus[:-1]]
+    for _ in range(m - 1):
+        rows.append(cur)
+        cur = [(lo + cur[-1] * c) % p for lo, c in zip([0] + cur[:-1], rows[0])]
+    return rows
+
 
 def convolution_mul(field: FiniteField, a: int, b: int) -> int:
     """The product in GF(p^m) as a digit convolution reduced by the

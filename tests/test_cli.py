@@ -53,6 +53,19 @@ def test_reports_are_reproducible(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+@pytest.mark.parametrize("target,reason", [("missing/r.json", "No such file or directory"),
+                                           (".", "Is a directory")],
+                         ids=["missing-dir", "dir"])
+def test_unwritable_out_is_exit_2(tmp_path, target, reason, capsys):
+    # the suite has run; the report cannot be written, and that is an
+    # error line, not a traceback
+    out = str(tmp_path / target)
+    assert main(["verify", "2d", "--no-timestamp", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write report to {out!r}: {reason}\n"
+
+
 def test_csv_format(capsys):
     code = main(["verify", "2d", "--no-timestamp", "--format", "csv"])
     out = capsys.readouterr().out
@@ -222,9 +235,11 @@ def test_non_integer_brick_header_is_exit_2(key, value, message, capsys):
     assert captured.err == f"error: malformed brick description: {message}\n"
 
 
-@pytest.mark.parametrize("key,path", [("modulus", "'field.modulus'"), ("m", "'field.m'"),
-                                      ("thin_dims", "'thin_dims'")],
-                         ids=["modulus", "m", "thin_dims"])
+@pytest.mark.parametrize("key,path", [("modulus", "missing key 'field.modulus'"),
+                                      ("m", "missing key 'field.m'"),
+                                      ("thin_dims", "missing key 'thin_dims'"),
+                                      ("field", "missing key 'field'")],
+                         ids=["modulus", "m", "thin_dims", "field"])
 def test_missing_brick_key_names_its_path(key, path, capsys):
     assert main(["assemble", "--brick", _header_brick(**{key: None}),
                  "--no-timestamp"]) == 2
@@ -362,6 +377,22 @@ def test_suites_without_b3_options_refuse_them(argv, capsys):
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
     for opt in ("--p", "--trials"):
         assert (opt in argv) == (opt in captured.err), opt
+
+
+def test_cap_points_is_a_census_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "2d", "--cap-points", "5", "--no-timestamp"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap-points 5" in capsys.readouterr().err
+
+
+def test_cap_points_without_oracle_is_refused(brick3_path, capsys):
+    # only the --oracle enumeration reads it; census alone would ignore it
+    assert main(["census", "--brick", brick3_path, "--cap-points", "5",
+                 "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --cap-points") and "--oracle" in captured.err
 
 
 def test_b3_cap_dim_refuses_before_assembly(capsys, monkeypatch):

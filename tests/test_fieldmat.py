@@ -105,10 +105,11 @@ def test_product_switches_to_int64_at_2_53(k, dtype):
     p = 1000003
     x = np.full((2, k), p - 2, dtype=np.int64)
     y = np.full((k, 3), p - 2, dtype=np.int64)
-    raw, _ = fieldmat._product(p, x, y, p - 1, p - 1, reduce=False)
+    raw, bound = fieldmat._tier_product(p, x, y, p - 1, p - 1)
     assert raw.dtype == dtype
-    got, bound = fieldmat._product(p, x, y, p - 1, p - 1)
-    assert bound == p - 1 and got.dtype == fieldmat.coeff_dtype(p)
+    assert bound == (p - 1 if dtype is np.int64 else k * (p - 1) ** 2)
+    got = fieldmat._product(p, x, y)
+    assert got.dtype == fieldmat.coeff_dtype(p)
     assert (got == k * (p - 2) ** 2 % p).all()
 
 
@@ -121,10 +122,11 @@ def test_product_switches_to_float64_at_2_24(k, dtype):
     assert fieldmat.product_dtype(p, k) == dtype
     x = np.full((2, k), p - 2, dtype=np.int64)
     y = np.full((k, 3), p - 2, dtype=np.int64)
-    raw, _ = fieldmat._product(p, x, y, p - 1, p - 1, reduce=False)
+    raw, bound = fieldmat._tier_product(p, x, y, p - 1, p - 1)
     assert raw.dtype == dtype and (raw == k * (p - 2) ** 2).all()
-    got, bound = fieldmat._product(p, x, y, p - 1, p - 1)
-    assert bound == p - 1 and got.dtype == fieldmat.coeff_dtype(p)
+    assert bound == k * (p - 1) ** 2
+    got = fieldmat._product(p, x, y)
+    assert got.dtype == fieldmat.coeff_dtype(p)
     assert (got == k * (p - 2) ** 2 % p).all()
     kept = fieldmat.reduced_product(p, x, y)
     assert kept.dtype == dtype and (kept == k * (p - 2) ** 2 % p).all()
@@ -388,8 +390,8 @@ def test_int64_products_slice_long_sums():
     assert 2 * (p - 1) ** 2 < 2 ** 63 <= 3 * (p - 1) ** 2
     x = np.full((2, 48), p - 1, dtype=np.int64)
     y = np.full((48, 3), p - 1, dtype=np.int64)
-    got, bound = fieldmat._product(p, x, y, p - 1, p - 1)
-    assert bound == p - 1 and (got == 48 % p).all()
+    got = fieldmat._product(p, x, y)
+    assert (got == 48 % p).all()
 
 
 # the largest prime whose values -(p-1) .. 2(p-1) fit each signed dtype,

@@ -1,13 +1,15 @@
+import itertools
 import json
 import random
 import time
 
+import numpy as np
 import pytest
 
 from cubeblocks.cli import main
 from cubeblocks.errors import InputError
 from cubeblocks.fields import FiniteField, find_irreducible, is_prime
-from reference import convolution_mul, sqrt_char2
+from reference import convolution_mul, reduction_rows, sqrt_char2
 
 
 # ----------------------------------------------------------------------
@@ -147,6 +149,44 @@ def test_axioms(p, m):
         assert f.add(x, f.neg(x)) == f.zero
         if x != f.zero:
             assert f.mul(x, f.inv(x)) == f.one
+
+
+@pytest.mark.parametrize("p,m", [(2, 8), (2, 16), (3, 4), (7, 16), (11, 16), (2, 1), (7, 1)])
+def test_reduction_matrix_rows_are_powers_of_x(p, m):
+    # at p = 2 the rows are x^t from carry-less products by x (bit 1),
+    # elsewhere the shift-and-fold recurrence; at m = 1 there are none
+    f = FiniteField(p, m)
+    red = f.reduction_matrix
+    assert red.shape == (m - 1, m) and red.dtype == np.int64
+    if p == 2:
+        want, x_t = [], 1
+        for t in range(2 * m - 1):
+            if t >= m:
+                want.append([x_t >> i & 1 for i in range(m)])
+            x_t = f._mul2(x_t, 2)
+    else:
+        want = reduction_rows(f)
+    assert red.tolist() == want
+
+
+@pytest.mark.parametrize("p,m", [(3, 4), (7, 16)])
+def test_add_sub_neg_match_digitwise(p, m):
+    # every pair at GF(3^4); at GF(7^16) random pairs and the extremes
+    f = FiniteField(p, m)
+    digits = lambda x: [x // p ** i % p for i in range(m)]
+    undigits = lambda ds: sum(d % p * p ** i for i, d in enumerate(ds))
+    if f.q <= 81:
+        pairs = itertools.product(range(f.q), repeat=2)
+    else:
+        rng = random.Random(p * m)
+        ends = [0, 1, p - 1, f.q - 1]
+        pairs = list(itertools.product(ends, repeat=2)) + [
+            (f.sample(rng), f.sample(rng)) for _ in range(2000)]
+    for a, b in pairs:
+        da, db = digits(a), digits(b)
+        assert f.add(a, b) == undigits([x + y for x, y in zip(da, db)])
+        assert f.sub(a, b) == undigits([x - y for x, y in zip(da, db)])
+        assert f.neg(b) == undigits([-y for y in db])
 
 
 @pytest.mark.parametrize("p,m", [(3, 16), (7, 16), (11, 16), (5, 8), (65537, 2)])

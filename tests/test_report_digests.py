@@ -4,7 +4,8 @@ their stderr and their exit code recorded in report_digests.json.
 
 A change that alters a report on purpose regenerates the file with
 ``PYTHONPATH=src python tests/test_report_digests.py`` and says why in its
-description.
+description.  The script prints the name of each entry whose digest
+changed and rewrites the file only when one did.
 """
 
 import contextlib
@@ -88,6 +89,11 @@ def test_report_digest(name):
 
 
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps(
-        {name: _digest(argv) for name, argv in CALLS.items()},
-        indent=2, sort_keys=True) + "\n")
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    new = {name: _digest(argv) for name, argv in CALLS.items()}
+    changed = sorted(name for name in old.keys() | new.keys()
+                     if old.get(name) != new.get(name))
+    for name in changed:
+        print(name)
+    if changed:
+        DIGESTS.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
