@@ -297,20 +297,6 @@ def verify_decomposition_2d(mode: str = "symbolic", seed: int = 0) -> Decomposit
 # Scalar structure and triple-product spectrum for p in {2, 3, 5, 7, 11}
 # ----------------------------------------------------------------------
 
-def _poly_coeffs_product(ring, roots_with_mult):
-    """Coefficients (constant first) of prod (x - r)^mult over the ring;
-    signs collapse in characteristic 2 and are tracked exactly otherwise."""
-    coeffs = [ring.one]
-    for root, mult in roots_with_mult:
-        for _ in range(mult):
-            nxt = [ring.zero] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                nxt[i + 1] = ring.add(nxt[i + 1], c)
-                nxt[i] = ring.sub(nxt[i], ring.mul(root, c))
-            coeffs = nxt
-    return coeffs
-
-
 def _sampled_cube_arrays(field, rng):
     a = [[field.sample_nonzero(rng) for _ in range(3)] for _ in range(3)]
     brick = BrickSpec(3, (1, 1, 1), RingMatrix.from_rows(field, a))
@@ -365,10 +351,11 @@ def _spectrum_failure_symbolic(ring, a, sub):
     quad = (m_op - id4.scalar_mul(lam1)) @ (m_op - id4.scalar_mul(lam2))
     if quad != RingMatrix.zeros(ring, 4, 4):
         return {"failed": "minimal polynomial"}
-    # multiplicities: the characteristic polynomial factors as
-    # (x - lam1)(x - lam2)^3, which together with the quadratic
-    # annihilator forces multiplicities (1, 3)
-    if charpoly(m_op) != _poly_coeffs_product(ring, [(lam1, 1), (lam2, 3)]):
+    # multiplicities: with the annihilator and lam1 != lam2, M is
+    # diagonalizable over the fraction field, so det M = lam1^a lam2^(4-a)
+    # for the multiplicity a of lam1; these are distinct monomials, so the
+    # constant coefficient det M = lam1 lam2^3 decides a = 1
+    if charpoly(m_op)[0] != ring.mul(lam1, ring.mul(lam2, sq(lam2))):
         return {"failed": "characteristic polynomial"}
     return None
 

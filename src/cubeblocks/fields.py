@@ -387,8 +387,12 @@ class FiniteField:
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteField":
         """The field of a brick description's "field" object: p and m are
-        JSON integers and the modulus coefficients integers in [0, p)."""
-        p, m = json_int(obj, "p", "field."), json_int(obj, "m", "field.")
+        JSON integers, p a prime, and the modulus coefficients integers in
+        [0, p)."""
+        p = json_int(obj, "p", "field.")
+        if not is_prime(p):
+            raise InputError(f"characteristic {p} is not prime")
+        m = json_int(obj, "m", "field.")
         modulus = json_ints(obj, "modulus", "field.")
         if any(not 0 <= c < p for c in modulus):
             raise InputError(f"'field.modulus' coefficients must lie in [0, {p})")

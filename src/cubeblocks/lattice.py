@@ -124,9 +124,11 @@ class BrickSpec:
         JSON readers in ``fields``)."""
         field = FiniteField.from_json(json_item(obj, "field"))
         entries = json_item(obj, "entries")
+        if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+            raise InputError("'entries' must be a list of rows of JSON integers")
         if any(type(x) is not int or not 0 <= x < field.q for row in entries for x in row):
             raise InputError(f"brick entries must be integers in [0, {field.q})")
-        m = RingMatrix.from_rows(field, [list(row) for row in entries])
+        m = RingMatrix.from_rows(field, entries)
         return cls(json_int(obj, "d"), tuple(json_ints(obj, "thin_dims")), m)
 
 
@@ -142,30 +144,13 @@ def assemble_block(brick: BrickSpec, spec: LatticeSpec) -> RingMatrix:
 
 
 def _assemble_generic(brick, spec) -> RingMatrix:
-    ring = brick.ring
-    n = spec.dimension
-    acc = RingMatrix.identity(ring, n)
-    k = brick.matrix.rows
+    n, k = spec.dimension, brick.matrix.rows
+    acc = RingMatrix.identity(brick.ring, n)
     for idx in np.concatenate(spec.layers()).tolist():
         # acc <- acc @ embed(v): only the affected columns change
-        new_cols = []
-        for b in range(k):
-            col = [ring.zero] * n
-            for a in range(k):
-                coeff = brick.matrix[a, b]
-                if coeff == ring.zero:
-                    continue
-                ca = idx[a]
-                for r in range(n):
-                    x = acc.data[r * n + ca]
-                    if x != ring.zero:
-                        col[r] = ring.add(col[r], ring.mul(x, coeff))
-            new_cols.append(col)
-        for b in range(k):
-            cb = idx[b]
-            col = new_cols[b]
-            for r in range(n):
-                acc.data[r * n + cb] = col[r]
+        cols = acc.submatrix(range(n), idx) @ brick.matrix
+        for b, c in enumerate(idx):
+            acc.data[c::n] = cols.data[b::k]
     return acc
 
 

@@ -216,7 +216,7 @@ def charpoly(m: RingMatrix) -> list:
     n = m.rows
     if n == 0:
         return [ring.one]
-    add, sub_, mul = ring.add, ring.sub, ring.mul
+    add, mul = ring.add, ring.mul
     # vector of charpoly coefficients, leading first
     poly = [ring.one, ring.neg(m[0, 0])]
     for k in range(1, n):
@@ -229,10 +229,7 @@ def charpoly(m: RingMatrix) -> list:
         tcol = [ring.one, ring.neg(a_kk)]
         vec = col
         for _ in range(k):
-            acc = ring.zero
-            for rv, vv in zip(row, vec):
-                acc = add(acc, mul(rv, vv))
-            tcol.append(ring.neg(acc))
+            tcol.append(ring.neg(_dot(ring, row, vec)))
             vec = [_dot(ring, top.row(i), vec) for i in range(k)]
         # multiply the lower-triangular Toeplitz matrix of tcol into poly
         new_poly = []

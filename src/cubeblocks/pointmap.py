@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .census import ConfigCount
 from .errors import InputError, ResourceLimitError
 from .fields import FiniteField
 from .matrices import RingMatrix
@@ -115,7 +116,6 @@ def brute_force_census(r: RingMatrix, spec, bcs):
     The count is always a power of q (the constraints are linear); the
     exponent is returned via census.ConfigCount.
     """
-    from .census import ConfigCount
     field = r.ring
     if not isinstance(field, FiniteField):
         raise InputError("census needs a finite field matrix")

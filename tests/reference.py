@@ -4,10 +4,12 @@ The `cubeblocks` package holds what its command line runs.  The helpers
 here build test inputs (random bricks, random linear extensions, random
 polynomials), check them (the linear-extension checker), serve as
 independent references (the row-major block assembly and its per-vertex
-slot lookup, the convolution product in GF(p^m) and the x^t reduction
-rows it folds with, row kernels, image tables, the full-system census
-rank, the circulant determinant formula, the two-product scalar and two-rank
-spectrum checks of the sampled b3 claims), re-derive an acceptance
+slot lookup, the column-loop assembly over any ring, the convolution
+product in GF(p^m) and the x^t reduction rows it folds with, row kernels,
+image tables, the full-system census rank, the circulant determinant
+formula, the two-product scalar and two-rank spectrum checks of the
+sampled b3 claims, the full characteristic-polynomial check of the
+symbolic b3 spectrum), re-derive an acceptance
 criterion (the line-ordering search, gauges and symmetrization) or inject
 a fault (a perturbed cube block).
 """
@@ -25,7 +27,7 @@ from cubeblocks.errors import InputError, SingularMatrixError, UnsupportedRingEr
 from cubeblocks.fields import FiniteField
 from cubeblocks.lattice import BrickSpec, LatticeSpec
 from cubeblocks.matrices import (
-    RingMatrix, mat_det, mat_inverse, mat_mul, rank, row_vec_mul, rref,
+    RingMatrix, charpoly, mat_det, mat_inverse, mat_mul, rank, row_vec_mul, rref,
 )
 from cubeblocks.polys import MultiPoly, PolyRing, ShiftAlgebra
 
@@ -161,6 +163,36 @@ def row_major_assemble(brick: BrickSpec, spec: LatticeSpec, order) -> np.ndarray
         cols = acc[:, idx, :].reshape(-1, km)
         acc[:, idx, :] = fieldmat.reduced_product(field.p, cols, reg).reshape(n, len(idx), -1)
     return acc.astype(np.int64)
+
+
+def column_loop_assemble(brick: BrickSpec, spec: LatticeSpec) -> RingMatrix:
+    """The block over any ring, one vertex at a time in the order of
+    spec.layers(), each affected column rebuilt by its own multiply-add
+    loop over the brick column."""
+    ring = brick.ring
+    n = spec.dimension
+    acc = RingMatrix.identity(ring, n)
+    k = brick.matrix.rows
+    for idx in np.concatenate(spec.layers()).tolist():
+        new_cols = []
+        for b in range(k):
+            col = [ring.zero] * n
+            for a in range(k):
+                coeff = brick.matrix[a, b]
+                if coeff == ring.zero:
+                    continue
+                ca = idx[a]
+                for r in range(n):
+                    x = acc.data[r * n + ca]
+                    if x != ring.zero:
+                        col[r] = ring.add(col[r], ring.mul(x, coeff))
+            new_cols.append(col)
+        for b in range(k):
+            cb = idx[b]
+            col = new_cols[b]
+            for r in range(n):
+                acc.data[r * n + cb] = col[r]
+    return acc
 
 
 # ----------------------------------------------------------------------
@@ -489,6 +521,40 @@ def spectrum_failure_two_ranks(field, p, trial, a, blocks, n):
     if observed != expected:
         return {"trial": trial, "failed": "multiplicities",
                 "observed": observed, "expected": expected}
+    return None
+
+
+# ----------------------------------------------------------------------
+# the symbolic b3 spectrum check against the whole characteristic polynomial
+# ----------------------------------------------------------------------
+
+def poly_coeffs_product(ring, roots_with_mult):
+    """Coefficients (constant first) of prod (x - r)^mult over the ring;
+    signs collapse in characteristic 2 and are tracked exactly otherwise."""
+    coeffs = [ring.one]
+    for root, mult in roots_with_mult:
+        for _ in range(mult):
+            nxt = [ring.zero] * (len(coeffs) + 1)
+            for i, c in enumerate(coeffs):
+                nxt[i + 1] = ring.add(nxt[i + 1], c)
+                nxt[i] = ring.sub(nxt[i], ring.mul(root, c))
+            coeffs = nxt
+    return coeffs
+
+
+def spectrum_failure_full_charpoly(ring, a, sub):
+    """decomp3d._spectrum_failure_symbolic with every coefficient of the
+    characteristic polynomial compared to (x - lam1)(x - lam2)^3."""
+    m_op = sub(0, 1) @ sub(1, 2) @ sub(2, 0)
+    sq = lambda x: ring.mul(x, x)
+    lam1 = sq(ring.mul(ring.mul(a[0][2], a[2][1]), a[1][0]))
+    lam2 = sq(ring.mul(ring.mul(a[0][1], a[1][2]), a[2][0]))
+    id4 = RingMatrix.identity(ring, 4)
+    quad = (m_op - id4.scalar_mul(lam1)) @ (m_op - id4.scalar_mul(lam2))
+    if quad != RingMatrix.zeros(ring, 4, 4):
+        return {"failed": "minimal polynomial"}
+    if charpoly(m_op) != poly_coeffs_product(ring, [(lam1, 1), (lam2, 3)]):
+        return {"failed": "characteristic polynomial"}
     return None
 
 

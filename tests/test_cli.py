@@ -223,11 +223,18 @@ def _header_brick(**changes):
     ("thin_dims", [1.7, 1, 1], "'thin_dims' must be a list of JSON integers"),
     ("p", 2.5, "'field.p' must be a JSON integer, got 2.5"),
     ("m", True, "'field.m' must be a JSON integer, got true"),
-    ("modulus", [2, 1], "'field.modulus' coefficients must lie in [0, 2)")],
-    ids=["d", "thin_dims", "p", "m", "modulus"])
+    ("modulus", [2, 1], "'field.modulus' coefficients must lie in [0, 2)"),
+    ("entries", 5, "'entries' must be a list of rows of JSON integers"),
+    ("entries", [1, 2, 3], "'entries' must be a list of rows of JSON integers"),
+    ("p", 1, "characteristic 1 is not prime"),
+    ("p", 0, "characteristic 0 is not prime"),
+    ("p", -3, "characteristic -3 is not prime")],
+    ids=["d", "thin_dims", "p", "m", "modulus", "entries-int", "entries-flat",
+         "p-one", "p-zero", "p-negative"])
 def test_non_integer_brick_header_is_exit_2(key, value, message, capsys):
     # each was truncated (or, for the modulus, reduced mod p) and
-    # assembled; a header field must be a JSON integer as it stands
+    # assembled; a header field must be a JSON integer as it stands.  Flat
+    # entries and a p that is not prime failed with another field's message
     assert main(["assemble", "--brick", _header_brick(**{key: value}),
                  "--no-timestamp"]) == 2
     captured = capsys.readouterr()

@@ -13,7 +13,7 @@ from cubeblocks.lattice import BrickSpec, assemble_block, evolve
 from cubeblocks.matrices import RingMatrix, mat_det, mat_inverse
 from reference import (
     perturb_cube, resolve_line_ordering, scalar_failure_two_products,
-    spectrum_failure_two_ranks, symmetrize_brick,
+    spectrum_failure_full_charpoly, spectrum_failure_two_ranks, symmetrize_brick,
 )
 
 
@@ -160,6 +160,28 @@ def test_spectrum_sampled_p3():
     v = D.verify_triple_product_spectrum(3, trials=4, seed=5)
     assert v.ok and v.details["multiplicities"] == [3, 6]
     assert v.log2_failure_bound < 0
+
+
+@pytest.mark.parametrize("swapped", [False, True], ids=["M", "swapped-M"])
+def test_symbolic_spectrum_shortcut_matches_full_charpoly(swapped):
+    # the swapped operator (lam1 + lam2) I - M satisfies the same quadratic
+    # annihilator but has multiplicities (3, 1), so only the determinant,
+    # or the whole characteristic polynomial, can reject it
+    ring, a = D.generic_brick_ring()
+    sub = D._cube_sub(D.assemble_cube(ring, a, 2), 4)
+    m_op = sub(0, 1) @ sub(1, 2) @ sub(2, 0)
+    want = None
+    if swapped:
+        sq = lambda x: ring.mul(x, x)
+        lam1 = sq(ring.mul(ring.mul(a[0][2], a[2][1]), a[1][0]))
+        lam2 = sq(ring.mul(ring.mul(a[0][1], a[1][2]), a[2][0]))
+        m_op = RingMatrix.scalar(ring, 4, ring.add(lam1, lam2)) - m_op
+        want = {"failed": "characteristic polynomial"}
+    eye = RingMatrix.identity(ring, 4)
+    blocks = {(0, 1): m_op, (1, 2): eye, (2, 0): eye}
+    crafted = lambda i, j: blocks[i, j]
+    assert D._spectrum_failure_symbolic(ring, a, crafted) == want
+    assert spectrum_failure_full_charpoly(ring, a, crafted) == want
 
 
 def test_b3_bounds_use_each_claims_degree():

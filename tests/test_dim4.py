@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from cubeblocks.errors import InputError, SingularMatrixError
 from cubeblocks.fields import FiniteField
 from cubeblocks.lattice import BrickSpec
 from cubeblocks.matrices import RingMatrix, mat_det, mat_inverse
+from cubeblocks.polys import ShiftAlgebra
 from reference import circulant_det_charp, mat_add, perturb_cube, random_brick
 
 F = FiniteField(2, 8)
@@ -34,6 +36,22 @@ def test_shift_matrices():
     assert X.shift_matrix(F, 2, "ZeroInput4").to_rows() == [[0, 1], [0, 0]]
     t = X.shift_matrix(F, 3, "ZeroInput4")
     assert t @ t @ t == RingMatrix.zeros(F, 3, 3)
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["circulant", "toeplitz"])
+@pytest.mark.parametrize("l", [2, 4, 8])
+def test_power_l_of_shift_element_is_scalar(l, periodic):
+    # in characteristic 2, (sum c_i t^i)^l = sum c_i^l t^(i l) for l = 2^n,
+    # and t^l is 1 (periodic) or 0: the image with the shift killed, to the l-th
+    alg = ShiftAlgebra(F, l, periodic)
+    rng = random.Random(l)
+    for _ in range(50):
+        x = tuple(F.sample(rng) for _ in range(l))
+        power = x
+        for _ in range(l.bit_length() - 1):
+            power = alg.mul(power, power)
+        image = functools.reduce(F.add, x) if periodic else x[0]
+        assert power == alg.scalar(F.pow(image, l))
 
 
 # ----------------------------------------------------------------------
@@ -102,6 +120,16 @@ def test_degenerate_chain_rejected():
         X.reduce_chain_4d(b, 2, "Periodic4")
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_nondegeneracy_refuses_a_root_of_unity_b44(n):
+    # b44 = 1 makes 1 - b44^(2^n) = (1 - b44)^(2^n) vanish
+    rng = random.Random(n)
+    vals = [[F.sample_nonzero(rng) for _ in range(4)] for _ in range(4)]
+    vals[3][3] = F.one
+    with pytest.raises(SingularMatrixError):
+        X.nondegeneracy_4d(_brick(vals), "Periodic4", n)
+
+
 def test_circulant_determinant_formula():
     rng = random.Random(3)
     for size in (2, 4, 8):
@@ -160,6 +188,27 @@ def test_stratification_conjugation_failure_witness(case, monkeypatch):
     rep = X.verify_stratification(b, 2, case)
     assert not rep.verdict.ok
     assert rep.verdict.witness == {"failed": "conjugation", "step": 1}
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 2), (2, 1)])
+@pytest.mark.parametrize("case", X.CASES)
+def test_stratification_layer_entries_failure_witness(case, entry, monkeypatch):
+    # the cube identity holds for any brick, so a perturbed fold passes
+    # the conjugation checks and only the predicted layer entries differ
+    fold = X.reduce_chain_4d
+
+    def perturbed(brick, l, case):
+        red = fold(brick, l, case)
+        x = red.matrix[entry]
+        red.matrix[entry] = (F.add(x[0], F.one),) + x[1:]
+        return red
+
+    monkeypatch.setattr(X, "reduce_chain_4d", perturbed)
+    b = _brick([[12, 200, 7, 33], [5, 91, 140, 2], [250, 3, 66, 17],
+                [9, 128, 45, 0]])
+    rep = X.verify_stratification(b, 1, case)
+    assert not rep.verdict.ok
+    assert rep.verdict.witness == {"failed": "layer entries", "entry": list(entry)}
 
 
 def test_stratification_requires_b44_zero():

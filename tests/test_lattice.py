@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from cubeblocks import fieldmat
+from cubeblocks.decomp3d import GEN3_VARS
 from cubeblocks.errors import InputError
 from cubeblocks.fields import FiniteField
 from cubeblocks.lattice import BrickSpec, LatticeSpec, assemble_block, evolve
 from cubeblocks.matrices import RingMatrix
+from cubeblocks.polys import PolyRing, ShiftAlgebra
 from reference import (
-    affected_indices, brick_to_json, check_linear_extension, layered_order, random_brick,
-    random_linear_extension, row_major_assemble, thick_position, vertices,
+    affected_indices, brick_to_json, check_linear_extension, column_loop_assemble,
+    layered_order, random_brick, random_linear_extension, row_major_assemble,
+    sample_poly, thick_position, vertices,
 )
 
 F2 = FiniteField(2)
@@ -274,6 +277,39 @@ def test_panelled_assembly_matches_row_major(p, m, d, l, thin, ordering):
         orders += [random_linear_extension(spec, rng) for _ in range(2)]
     for order in orders:
         assert np.array_equal(fast, row_major_assemble(brick, spec, order))
+
+
+def _ring_element(ring, rng):
+    if isinstance(ring, ShiftAlgebra):
+        return tuple(_ring_element(ring.base, rng) for _ in range(ring.l))
+    if isinstance(ring, PolyRing):
+        return sample_poly(ring, rng, max_terms=3, max_deg=1)
+    return ring.sample(rng)
+
+
+GENERIC_RINGS = {
+    "Z[a,b,c,d]": PolyRing(("a", "b", "c", "d")),
+    "F2[a11..a33]": PolyRing(GEN3_VARS, 2),
+    "shift-over-poly": ShiftAlgebra(PolyRing(("a", "b", "c", "d")), 2, True),
+    "shift-over-gf256": ShiftAlgebra(FiniteField(2, 8), 4, False),
+}
+
+
+@pytest.mark.parametrize("d,l,thin", [(2, 2, (1, 1)), (2, 3, (2, 1)),
+                                      (3, 2, (1, 1, 1)), (3, 3, (1, 1, 1))])
+@pytest.mark.parametrize("ring", GENERIC_RINGS.values(), ids=GENERIC_RINGS)
+def test_generic_assembly_matches_column_loop(ring, d, l, thin):
+    # one mat_mul of the affected columns per vertex against a multiply-add
+    # loop per column, over the rings only the generic path handles
+    from cubeblocks.lattice import _assemble_generic
+    rng = random.Random(sum(thin) * 10 + l)
+    k = sum(thin)
+    brick = BrickSpec(d, thin, RingMatrix(ring, k, k, [_ring_element(ring, rng)
+                                                       for _ in range(k * k)]))
+    spec = LatticeSpec(d, l, thin)
+    blk = _assemble_generic(brick, spec)
+    assert blk == column_loop_assemble(brick, spec)
+    assert blk != RingMatrix.identity(ring, spec.dimension)
 
 
 def test_evolve_dimensions():

@@ -16,7 +16,7 @@ import types
 from pathlib import Path
 
 import cubeblocks
-from cubeblocks import cli, decomp3d, fieldmat, fields
+from cubeblocks import cli, fields
 
 PKG = Path(cubeblocks.__file__).resolve().parent
 
@@ -100,9 +100,14 @@ def _defined() -> dict:
 
 def _entered() -> set:
     # a cached result would skip a function body, so start from cold caches
-    for fn in (cli.build_parser, decomp3d._b3_pass, fields.find_irreducible,
-               fieldmat._tensor):
-        fn.cache_clear()
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "cubeblocks":
+            continue
+        for obj in vars(module).values():
+            members = vars(obj).values() if isinstance(obj, type) else ()
+            for fn in (obj, *members):
+                if callable(getattr(fn, "cache_clear", None)):
+                    fn.cache_clear()
     codes_seen = set()
 
     def profile(frame, event, arg):
