@@ -34,6 +34,9 @@ GEN3 = _brick(2, 8, [[3, 5, 9], [7, 11, 13], [17, 19, 23]])
 SYM3 = _brick(2, 8, [[3, 5, 9], [5, 11, 13], [9, 13, 23]])
 B4 = _brick(2, 8, [[12, 200, 7, 33], [5, 91, 140, 2], [250, 3, 66, 17],
                    [9, 128, 45, 77]])
+# b44 = 1 is a root of unity, so the periodic chain is degenerate
+B4_DEGENERATE = _brick(2, 8, [[3, 5, 9, 2], [7, 11, 13, 4], [17, 19, 23, 6],
+                              [1, 2, 3, 1]])
 
 CALLS = {
     "verify-all-seed0": ["verify", "all", "--seed", "0"],
@@ -62,6 +65,14 @@ CALLS = {
     "reduce4d-periodic": ["reduce4d", "--brick", B4, "--case", "Periodic4"],
     "reduce4d-zeroinput": ["reduce4d", "--brick", B4, "--case", "ZeroInput4",
                            "--n", "2"],
+    "reduce4d-degenerate": ["reduce4d", "--brick", B4_DEGENERATE, "--case",
+                            "Periodic4"],
+    "csv-assemble": ["assemble", "--brick", GF4_CUBE, "--format", "csv"],
+    "csv-census-oracle": ["census", "--brick", GF2_CUBE, "--bcs",
+                          "Periodic,ZeroInput,Free", "--oracle", "--format", "csv"],
+    "csv-evolve-3d-generic": ["evolve", "--brick", GEN3, "--format", "csv"],
+    "csv-reduce4d-periodic": ["reduce4d", "--brick", B4, "--case", "Periodic4",
+                              "--format", "csv"],
     "error-b3-prime": ["verify", "b3", "--p", "13"],
     "error-2d-p": ["verify", "2d", "--p", "3"],
     "error-malformed-brick": ["census", "--brick", '{"nonsense": true}'],
