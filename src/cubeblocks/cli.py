@@ -31,11 +31,11 @@ B3_PRIMES = (2, 3, 5, 7, 11)
 # report plumbing
 # ----------------------------------------------------------------------
 
-def _report_skeleton(args, command: str) -> dict:
+def _report_skeleton(args) -> dict:
     rep = {
         "tool": "cubeblocks",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "seed": args.seed,
         "ordering": [list(s) for s in decomp3d.RESOLVED_LINE_ORDERING],
     }
@@ -77,14 +77,6 @@ def _emit(report: dict, args) -> None:
                 f"cannot write report to {args.out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
-
-
-def _status(results: list[dict]) -> tuple[str, int]:
-    """Overall verdict: falsified when any result is, else verified."""
-    verdicts = [r.get("verdict") for r in results]
-    if any(v == "falsified" for v in verdicts):
-        return "falsified", EXIT_FALSIFIED
-    return "verified", EXIT_VERIFIED
 
 
 def _from_verdict(name: str, verdict) -> dict:
@@ -230,7 +222,7 @@ def _nondegenerate_brick(field, rng, case: str, b44_zero: bool) -> BrickSpec:
         if b44_zero:
             brick.matrix[3, 3] = field.zero
         try:
-            if dim4.nondegeneracy_4d(brick, case, 1):
+            if dim4.nondegeneracy_4d(brick, dim4.reduce_chain_4d(brick, 2, case)):
                 return brick
         except SingularMatrixError:
             continue
@@ -264,7 +256,7 @@ def _suite_dim4(args, algebra: list[dict] | None = None) -> list[dict]:
     return results
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     suites = {
         "2d": _suite_2d,
         "diag3": _suite_diag3,
@@ -289,33 +281,25 @@ def cmd_verify(args) -> int:
         else:
             by_name[name] = suites[name](args)
     results = [r for name in names for r in by_name[name]]
-    report = _report_skeleton(args, "verify")
-    report["suite"] = args.suite
-    report["results"] = results
-    status, code = _status(results)
-    report["status"] = status
-    _emit(report, args)
-    return code
+    falsified = any(r.get("verdict") == "falsified" for r in results)
+    return {"suite": args.suite, "results": results,
+            "status": "falsified" if falsified else "verified"}
 
 
 # ----------------------------------------------------------------------
 # assemble / census / evolve / reduce4d
 # ----------------------------------------------------------------------
 
-def cmd_assemble(args) -> int:
+def cmd_assemble(args) -> dict:
     brick = _load_brick(args.brick)
     spec = LatticeSpec(brick.d, args.edge, brick.thin_dims, args.ordering)
     _check_caps(spec.dimension, args)
     blk = assemble_block(brick, spec)
-    report = _report_skeleton(args, "assemble")
-    report["lattice"] = spec.to_json()
-    report["dimension"] = blk.rows
-    report["block"] = matrix_to_json(blk)
-    _emit(report, args)
-    return EXIT_VERIFIED
+    return {"lattice": spec.to_json(), "dimension": blk.rows,
+            "block": matrix_to_json(blk)}
 
 
-def cmd_census(args) -> int:
+def cmd_census(args) -> dict:
     if args.cap_points is not None and not args.oracle:
         raise InputError("--cap-points bounds the --oracle enumeration; "
                          "census without --oracle does not read it")
@@ -334,30 +318,21 @@ def cmd_census(args) -> int:
         check_points(q, dim, CENSUS_GUARD)
     _check_caps(dim, args)
     blk = assemble_block(brick, spec)
-    report = _report_skeleton(args, "census")
-    report["lattice"] = spec.to_json()
-    report["census"] = census_report(blk, spec, bcs)
+    census = census_report(blk, spec, bcs)
     if args.oracle:
-        oracle = brute_force_census(blk, spec, bcs)
-        agree = oracle.e == report["census"]["exponent"]
-        report["census"]["oracle_checked"] = True
-        report["census"]["oracle_agrees"] = agree
-        if not agree:
-            report["status"] = "falsified"
-            _emit(report, args)
-            return EXIT_FALSIFIED
-    report["status"] = "verified"
-    _emit(report, args)
-    return EXIT_VERIFIED
+        census["oracle_checked"] = True
+        census["oracle_agrees"] = (
+            brute_force_census(blk, spec, bcs).e == census["exponent"])
+    agree = census.get("oracle_agrees", True)
+    return {"lattice": spec.to_json(), "census": census,
+            "status": "verified" if agree else "falsified"}
 
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(args) -> dict:
     brick = _load_brick(args.brick)
     field, a = brick.ring, brick.matrix
     stages = evolve(brick, args.steps, cap=args.cap_dim)
-    report = _report_skeleton(args, "evolve")
-    report["steps"] = args.steps
-    report["dimensions"] = [blk.rows for blk in stages]
+    report = {"steps": args.steps, "dimensions": [blk.rows for blk in stages]}
     d = brick.d
     case = None
     if d == 2 and brick.thin_dims == (1, 1) and field.p == 2:
@@ -381,16 +356,13 @@ def cmd_evolve(args) -> int:
             report["detection"] = _from_verdict("summand-detection", verdict)
             if not verdict.ok:
                 report["status"] = "falsified"
-                _emit(report, args)
-                return EXIT_FALSIFIED
     else:
         report["case"] = "unclassified"
-    report["status"] = "verified"
-    _emit(report, args)
-    return EXIT_VERIFIED
+    report.setdefault("status", "verified")
+    return report
 
 
-def cmd_reduce4d(args) -> int:
+def cmd_reduce4d(args) -> dict:
     brick = _load_brick(args.brick)
     if args.n < 0:
         raise InputError(f"--n must be at least 0, got {args.n}")
@@ -400,16 +372,13 @@ def cmd_reduce4d(args) -> int:
         raise ResourceLimitError(
             f"folded brick dimension 3*2^{args.n} exceeds --cap-dim {cap}")
     length = 2 ** args.n
-    report = _report_skeleton(args, "reduce4d")
-    report["case"] = args.case
-    report["chain_length"] = length
+    report = {"case": args.case, "chain_length": length}
     try:
         reduced = dim4.reduce_chain_4d(brick, length, args.case)
     except SingularMatrixError as exc:
         report["status"] = "degenerate"
         report["degenerate_reason"] = str(exc)
-        _emit(report, args)
-        return EXIT_VERIFIED
+        return report
     tag = "Circulant" if args.case == "Periodic4" else "UpperToeplitz"
     report["entry_tags"] = [[tag] * 3 for _ in range(3)]
     report["entries"] = [[matrix_to_json(reduced.ring.matrix(x)) for x in row]
@@ -419,14 +388,9 @@ def cmd_reduce4d(args) -> int:
         report["nondegenerate"] = None
         report["nondegenerate_reason"] = "the nondegeneracy criterion is for characteristic 2"
     else:
-        try:
-            report["nondegenerate"] = dim4.nondegeneracy_4d(brick, args.case, args.n)
-        except SingularMatrixError as exc:
-            report["nondegenerate"] = False
-            report["degenerate_reason"] = str(exc)
+        report["nondegenerate"] = dim4.nondegeneracy_4d(brick, reduced)
     report["status"] = "verified"
-    _emit(report, args)
-    return EXIT_VERIFIED
+    return report
 
 
 # ----------------------------------------------------------------------
@@ -503,13 +467,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and emit its report: the skeleton, taken after the
+    work, then the command's section; exit 1 when it is falsified."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        section = args.func(args)
+        _emit({**_report_skeleton(args), **section}, args)
     except (InputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    if section.get("status") == "falsified":
+        return EXIT_FALSIFIED
+    return EXIT_VERIFIED
 
 
 if __name__ == "__main__":

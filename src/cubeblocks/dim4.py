@@ -101,23 +101,21 @@ def _row_sum_image(parts, case: str):
     return grid
 
 
-def nondegeneracy_4d(brick: BrickSpec, case: str, n: int) -> bool:
-    """Whether the folded brick satisfies the 3D nondegeneracy condition
-    for an edge of length 2^n, computed two ways: the scalar inequality
-    through the structure-killing homomorphism, and the determinant of
-    the algebra element itself."""
+def nondegeneracy_4d(brick: BrickSpec, reduced: BrickSpec) -> bool:
+    """Whether reduced, the fold reduce_chain_4d(brick, 2^n, case), satisfies
+    the 3D nondegeneracy condition for an edge of length 2^n, computed two
+    ways: the scalar inequality through the structure-killing homomorphism,
+    and the determinant of the algebra element itself."""
     parts = _split(brick)
     field = brick.ring
     if field.p != 2:
         raise InputError("the nondegeneracy criterion is for characteristic 2")
-    # in characteristic 2, 1 - b44^l = (1 - b44)^l for l = 2^n, so the fold
-    # raises SingularMatrixError exactly when the row-sum image would
-    # divide by zero
-    reduced = reduce_chain_4d(brick, 2 ** n, case)
-    grid = _row_sum_image(parts, case)
+    alg = reduced.ring
+    # in characteristic 2, 1 - b44^l = (1 - b44)^l for l = 2^n, so a fold
+    # that succeeded leaves 1 - b44 nonzero for the row-sum image to divide by
+    grid = _row_sum_image(parts, "Periodic4" if alg.periodic else "ZeroInput4")
     scalar_diff = decomp3d.mixed_product_difference(field, grid)
     via_scalar = scalar_diff != field.zero
-    alg = reduced.ring
     d_elem = decomp3d.mixed_product_difference(alg, reduced.matrix.to_rows())
     via_det = mat_det(alg.matrix(d_elem)) != field.zero
     if via_scalar != via_det:

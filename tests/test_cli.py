@@ -1,11 +1,13 @@
 import json
 import random
+import types
 
 import pytest
 
 from cubeblocks import cli, decomp3d, dim4, lattice
 from cubeblocks.cli import main, matrix_to_json
 from cubeblocks.fields import FiniteField
+from cubeblocks.identity import Verdict
 from cubeblocks.lattice import BrickSpec
 from cubeblocks.matrices import RingMatrix, mat_inverse
 from reference import brick_to_json, mat_add, random_brick
@@ -183,6 +185,82 @@ def test_reduce4d_bad_n_is_exit_2(extra, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+def test_reduce4d_folds_the_chain_once(capsys, monkeypatch):
+    # the report's entries and the nondegeneracy verdict read one fold
+    fold, calls = dim4.reduce_chain_4d, []
+
+    def counted(brick, l, case):
+        calls.append((l, case))
+        return fold(brick, l, case)
+    monkeypatch.setattr(dim4, "reduce_chain_4d", counted)
+    code, rep = _run_json(["reduce4d", "--brick", _brick4_json(), "--case",
+                           "Periodic4", "--n", "3", "--no-timestamp"], capsys)
+    assert code == 0 and rep["nondegenerate"] is not None
+    assert calls == [(8, "Periodic4")]
+
+
+# ----------------------------------------------------------------------
+# exit codes of reports that no unpatched input falsifies
+# ----------------------------------------------------------------------
+
+def _cube_json(field, rows):
+    return json.dumps({"d": 3, "thin_dims": [1, 1, 1], "entries": rows,
+                       "field": field.to_json()})
+
+
+GF2_CUBE = _cube_json(FiniteField(2), [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+GEN3 = _cube_json(F256, [[3, 5, 9], [7, 11, 13], [17, 19, 23]])
+FALSIFIED = Verdict(False, witness={"patched": True})
+
+
+def _oracle_disagrees(monkeypatch):
+    # no rank census has a negative exponent
+    monkeypatch.setattr(cli, "brute_force_census",
+                        lambda *args: types.SimpleNamespace(e=-1))
+
+
+def _detection_fails(monkeypatch):
+    monkeypatch.setattr(decomp3d, "detect_evolution_summands",
+                        lambda *args, **kwargs: FALSIFIED)
+
+
+def _scalar_structure_fails(monkeypatch):
+    monkeypatch.setattr(decomp3d, "verify_scalar_structure",
+                        lambda *args, **kwargs: FALSIFIED)
+
+
+@pytest.mark.parametrize("argv,falsify,verdicts,want", [
+    (["census", "--brick", GF2_CUBE, "--oracle"], _oracle_disagrees,
+     lambda rep: rep["census"]["oracle_agrees"], False),
+    (["evolve", "--brick", GEN3], _detection_fails,
+     lambda rep: rep["detection"]["verdict"], "falsified"),
+    (["verify", "b3", "--p", "2"], _scalar_structure_fails,
+     lambda rep: [r["verdict"] for r in rep["results"]], ["falsified", "verified"]),
+], ids=["census-oracle", "evolve-detection", "verify-b3"])
+def test_falsified_report_is_exit_1(argv, falsify, verdicts, want, capsys,
+                                    monkeypatch):
+    falsify(monkeypatch)
+    code, rep = _run_json([*argv, "--no-timestamp"], capsys)
+    assert code == 1 and rep["status"] == "falsified"
+    assert verdicts(rep) == want
+
+
+def test_falsified_report_unwritable_out_is_exit_2(tmp_path, capsys, monkeypatch):
+    _oracle_disagrees(monkeypatch)
+    out = str(tmp_path / "missing" / "r.json")
+    assert main(["census", "--brick", GF2_CUBE, "--oracle", "--out", out,
+                 "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write report to {out!r}")
+
+
+def test_degenerate_reduce4d_csv_is_exit_0(capsys):
+    assert main(["reduce4d", "--brick", _brick4_json(b44=1), "--case",
+                 "Periodic4", "--format", "csv", "--no-timestamp"]) == 0
+    assert 'status,"degenerate"' in capsys.readouterr().out.splitlines()
 
 
 def test_malformed_brick_is_exit_2(capsys):

@@ -122,12 +122,13 @@ def test_degenerate_chain_rejected():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_nondegeneracy_refuses_a_root_of_unity_b44(n):
-    # b44 = 1 makes 1 - b44^(2^n) = (1 - b44)^(2^n) vanish
+    # b44 = 1 makes 1 - b44^(2^n) = (1 - b44)^(2^n) vanish, so the fold
+    # that nondegeneracy_4d reads is refused
     rng = random.Random(n)
     vals = [[F.sample_nonzero(rng) for _ in range(4)] for _ in range(4)]
     vals[3][3] = F.one
     with pytest.raises(SingularMatrixError):
-        X.nondegeneracy_4d(_brick(vals), "Periodic4", n)
+        X.reduce_chain_4d(_brick(vals), 2 ** n, "Periodic4")
 
 
 def test_circulant_determinant_formula():
@@ -153,7 +154,7 @@ def test_nondegeneracy_routes_agree():
         b = random_brick(F, 4, UNIT4, rng)
         for case in X.CASES:
             try:
-                X.nondegeneracy_4d(b, case, 1)
+                X.nondegeneracy_4d(b, X.reduce_chain_4d(b, 2, case))
             except SingularMatrixError:
                 pass
 
@@ -169,7 +170,7 @@ def test_stratification_n1():
         b, vals = _random_b44_zero(rng)
         for case in X.CASES:
             try:
-                if not X.nondegeneracy_4d(b, case, 1):
+                if not X.nondegeneracy_4d(b, X.reduce_chain_4d(b, 2, case)):
                     continue
             except SingularMatrixError:
                 continue
@@ -236,7 +237,8 @@ def test_cross_check_small_field():
                          ids=["three-axes", "thick-first-axis"])
 @pytest.mark.parametrize("call", [
     lambda b: X.reduce_chain_4d(b, 2, "Periodic4"),
-    lambda b: X.nondegeneracy_4d(b, "Periodic4", 1),
+    lambda b: X.nondegeneracy_4d(b, X.reduce_chain_4d(
+        random_brick(F, 4, UNIT4, random.Random(8)), 2, "Periodic4")),
     lambda b: X.verify_stratification(b, 1, "Periodic4"),
     lambda b: X.cross_check_4d(b, "Periodic4", BoundaryConditions.toric(3)),
 ], ids=["reduce", "nondegeneracy", "stratification", "cross-check"])

@@ -3,9 +3,13 @@ deleted or renamed target would make every traced benchmark run fail."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_PATH = ROOT / "bench" / "spans.py"
 
 
 def _unresolved(targets):
@@ -22,12 +26,27 @@ def _unresolved(targets):
     return missing
 
 
-def test_trace_targets_resolve():
+def _targets():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    targets = [(mod, path) for mod, path, _ in spans.TRACED + spans.COUNTED]
+    return [(mod, path) for mod, path, _ in spans.TRACED + spans.COUNTED]
+
+
+def test_trace_targets_resolve():
+    targets = _targets()
     assert len(targets) > 40
     assert _unresolved(targets) == []
     assert _unresolved([("dim4", "MatrixAlgebra.mul")]) == [
         "cubeblocks.dim4.MatrixAlgebra.mul"]
+
+
+def test_import_loads_every_traced_module():
+    # the tracer looks each module up in sys.modules after a bare
+    # ``import cubeblocks``, so the package must load them all itself
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, cubeblocks; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    traced = {f"cubeblocks.{mod}" for mod, _ in _targets()}
+    assert traced - set(loaded) == set()
