@@ -468,7 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command and emit its report: the skeleton, taken after the
-    work, then the command's section; exit 1 when it is falsified."""
+    work, then the command's section.  Exit 1 when the report is
+    falsified, 2 on an input or resource error, else 0."""
     args = build_parser().parse_args(argv)
     try:
         section = args.func(args)
