@@ -18,6 +18,7 @@ from .census import BoundaryConditions, census_report
 from .pointmap import CENSUS_GUARD, brute_force_census, check_points, points_above
 from . import decomp3d
 from . import dim4
+from . import fieldmat
 
 EXIT_VERIFIED = 0
 EXIT_FALSIFIED = 1
@@ -294,7 +295,7 @@ def cmd_assemble(args) -> dict:
     brick = _load_brick(args.brick)
     spec = LatticeSpec(brick.d, args.edge, brick.thin_dims, args.ordering)
     _check_caps(spec.dimension, args)
-    blk = assemble_block(brick, spec)
+    blk = fieldmat.from_array(brick.ring, assemble_block(brick, spec))
     return {"lattice": spec.to_json(), "dimension": blk.rows,
             "block": matrix_to_json(blk)}
 
@@ -317,7 +318,7 @@ def cmd_census(args) -> dict:
                     f"{points} points exceeds --cap-points {args.cap_points}")
         check_points(q, dim, CENSUS_GUARD)
     _check_caps(dim, args)
-    blk = assemble_block(brick, spec)
+    blk = fieldmat.from_array(brick.ring, assemble_block(brick, spec))
     census = census_report(blk, spec, bcs)
     if args.oracle:
         census["oracle_checked"] = True
@@ -332,7 +333,7 @@ def cmd_evolve(args) -> dict:
     brick = _load_brick(args.brick)
     field, a = brick.ring, brick.matrix
     stages = evolve(brick, args.steps, cap=args.cap_dim)
-    report = {"steps": args.steps, "dimensions": [blk.rows for blk in stages]}
+    report = {"steps": args.steps, "dimensions": [blk.shape[0] for blk in stages]}
     d = brick.d
     case = None
     if d == 2 and brick.thin_dims == (1, 1) and field.p == 2:
@@ -348,7 +349,7 @@ def cmd_evolve(args) -> dict:
         census = decomp3d.evolution_census_closed_form(case, args.steps)
         report["case"] = case
         report["predicted_counts"] = list(census.counts)
-        dim = stages[-1].rows
+        dim = stages[-1].shape[0]
         if field.q > 2 * dim:
             verdict = decomp3d.detect_evolution_summands(
                 case, args.steps, seed=args.seed, brick=brick,

@@ -19,6 +19,7 @@ from .matrices import RingMatrix, mat_det
 from .census import BoundaryConditions, count_configs
 from .polys import ShiftAlgebra
 from . import decomp3d
+from . import fieldmat
 
 CASES = ("Periodic4", "ZeroInput4")
 
@@ -181,7 +182,7 @@ def cross_check_4d(brick: BrickSpec, case: str,
     l = 2
     reduced = reduce_chain_4d(brick, l, case)
     spec4 = LatticeSpec(4, l)
-    blk4 = assemble_block(brick, spec4)
+    blk4 = fieldmat.from_array(brick.ring, assemble_block(brick, spec4))
     tag4 = "Periodic" if case == "Periodic4" else "ZeroInput"
     bcs4 = BoundaryConditions(tuple(bcs3.tags) + (tag4,))
     count4 = count_configs(blk4, spec4, bcs4)
@@ -192,7 +193,7 @@ def cross_check_4d(brick: BrickSpec, case: str,
             flat.set_block(i * l, j * l, alg.matrix(reduced.matrix[i, j]))
     b3 = BrickSpec(3, (l, l, l), flat)
     spec3 = LatticeSpec(3, 2, (l, l, l))
-    blk3 = assemble_block(b3, spec3)
+    blk3 = fieldmat.from_array(brick.ring, assemble_block(b3, spec3))
     count3 = count_configs(blk3, spec3, bcs3)
     if count4.e != count3.e:
         return Verdict(False, witness={"bcs": list(bcs3.tags), "case": case,

@@ -12,6 +12,9 @@ and ``reduced_product``, which stays in its product dtype for assembly.
 Every Gaussian elimination over a finite field in the package runs
 here, on one forward-elimination kernel: ``rank``, ``det`` and ``rref``
 build on it, and ``matrices`` routes its field routines through them.
+Block assembly returns these arrays and the sampled b3 pass and summand
+detection read them as they are; ``from_array`` makes a ``RingMatrix``
+only where a caller reads entries as ints.
 The one similarity reduction is ``hessenberg``, to upper Hessenberg
 form; on that form ``det_shifted`` evaluates det(H - x) at many points
 at once by the division-free recurrence in the leading principal

@@ -132,14 +132,16 @@ class BrickSpec:
         return cls(json_int(obj, "d"), tuple(json_ints(obj, "thin_dims")), m)
 
 
-def assemble_block(brick: BrickSpec, spec: LatticeSpec) -> RingMatrix:
+def assemble_block(brick: BrickSpec, spec: LatticeSpec) -> RingMatrix | np.ndarray:
     """Product of brick copies over the cube, layer by layer, earlier
     vertices applied first (leftmost factor, acting on row vectors from
-    the right)."""
+    the right).  Over GF(p^m) the block is its (n, n, m) coefficient
+    array in fieldmat.coeff_dtype(p), which fieldmat.from_array turns
+    into a RingMatrix; over polynomial rings and ShiftAlgebra it is one."""
     if brick.d != spec.d or brick.thin_dims != spec.thin_dims:
         raise InputError("brick shape does not match the lattice")
     if isinstance(brick.ring, FiniteField):
-        return fieldmat.from_array(brick.ring, _assemble_field(brick, spec))
+        return _assemble_field(brick, spec)
     return _assemble_generic(brick, spec)
 
 
@@ -192,9 +194,12 @@ def _assemble_field(brick, spec):
     return out
 
 
-def evolve(brick: BrickSpec, steps: int, cap: int = 4096) -> list[RingMatrix]:
-    """Iterate block making on the cube of edge 2: each step's thick
-    spaces become the next step's thin spaces."""
+def evolve(brick: BrickSpec, steps: int, cap: int = 4096) -> list[np.ndarray]:
+    """Iterate block making on the cube of edge 2 for a brick over a
+    FiniteField: each step's thick spaces become the next step's thin
+    spaces.  Returns every stage's block as its coefficient array (see
+    assemble_block); a stage becomes a RingMatrix only as the next
+    step's brick, so the last and largest one never does."""
     if steps < 1:
         raise InputError(f"need at least one step, got {steps}")
     # each step multiplies the block dimension by the lines per axis, so
@@ -211,8 +216,10 @@ def evolve(brick: BrickSpec, steps: int, cap: int = 4096) -> list[RingMatrix]:
                 f"block dimension {dim} at step {step} exceeds the cap {cap}")
     out = []
     current = brick
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         spec = LatticeSpec(current.d, 2, current.thin_dims)
         out.append(assemble_block(current, spec))
-        current = BrickSpec(current.d, spec.dims, out[-1])
+        if step < steps:
+            current = BrickSpec(current.d, spec.dims,
+                                fieldmat.from_array(current.ring, out[-1]))
     return out

@@ -7,6 +7,7 @@ from cubeblocks.census import (
     BoundaryConditions, build_constraint_system, census_report, count_configs,
 )
 from cubeblocks.errors import InputError
+from cubeblocks.fieldmat import from_array
 from cubeblocks.fields import FiniteField
 from cubeblocks.lattice import BrickSpec, LatticeSpec, assemble_block
 from cubeblocks.matrices import RingMatrix, rank
@@ -27,7 +28,7 @@ def test_free_only_counts_everything():
     rng = random.Random(1)
     brick = random_brick(F2, 2, (1, 1), rng)
     spec = LatticeSpec(2, l=2)
-    blk = assemble_block(brick, spec)
+    blk = from_array(brick.ring, assemble_block(brick, spec))
     cc = count_configs(blk, spec, BoundaryConditions.uniform(2, "Free"))
     assert cc.e == blk.rows
 
@@ -38,7 +39,7 @@ def test_oracle_equivalence_small():
         d, l = rng.choice([(2, 2), (2, 3), (3, 2)])
         brick = random_brick(F2, d, (1,) * d, rng)
         spec = LatticeSpec(d, l=l)
-        blk = assemble_block(brick, spec)
+        blk = from_array(brick.ring, assemble_block(brick, spec))
         for tags in itertools.product(TAGS, repeat=d):
             bcs = BoundaryConditions(tags)
             assert brute_force_census(blk, spec, bcs) \
@@ -49,7 +50,7 @@ def test_toric_exponent_is_fixed_space_dimension():
     rng = random.Random(3)
     brick = random_brick(F4, 3, (1, 1, 1), rng)
     spec = LatticeSpec(3, l=2)
-    blk = assemble_block(brick, spec)
+    blk = from_array(brick.ring, assemble_block(brick, spec))
     cc = count_configs(blk, spec, BoundaryConditions.toric(3))
     ker = row_kernel(blk - RingMatrix.identity(F4, blk.rows))
     assert cc.e == len(ker)
@@ -59,7 +60,7 @@ def test_gauge_invariance():
     rng = random.Random(4)
     brick = random_brick(F4, 2, (1, 1), rng)
     spec = LatticeSpec(2, l=2)
-    blk = assemble_block(brick, spec)
+    blk = from_array(brick.ring, assemble_block(brick, spec))
     base = {tags: count_configs(blk, spec, BoundaryConditions(tags))
             for tags in itertools.product(TAGS, repeat=2)}
     for _ in range(5):
@@ -87,7 +88,7 @@ def test_census_consistent_with_decomposition():
     assert rep.verdict.ok
     brick = BrickSpec(3, (1, 1, 1), RingMatrix.from_rows(f, a))
     spec = LatticeSpec(3, l=2)
-    blk = assemble_block(brick, spec)
+    blk = from_array(brick.ring, assemble_block(brick, spec))
     cc = count_configs(blk, spec, BoundaryConditions.toric(3))
     tilde = RingMatrix.from_rows(f, [[f.mul(x, x) for x in row] for row in a])
     e_simple = len(row_kernel(tilde - RingMatrix.identity(f, 3)))
@@ -99,7 +100,7 @@ def test_census_report_fields():
     rng = random.Random(6)
     brick = random_brick(F2, 2, (1, 1), rng)
     spec = LatticeSpec(2, l=2)
-    blk = assemble_block(brick, spec)
+    blk = from_array(brick.ring, assemble_block(brick, spec))
     rep = census_report(blk, spec, BoundaryConditions.toric(2))
     assert set(rep) >= {"q", "exponent", "bcs"}
 
@@ -108,7 +109,7 @@ def test_constraint_columns_count():
     rng = random.Random(7)
     brick = random_brick(F2, 2, (1, 1), rng)
     spec = LatticeSpec(2, l=2)
-    blk = assemble_block(brick, spec)
+    blk = from_array(brick.ring, assemble_block(brick, spec))
     c = build_constraint_system(blk, spec, BoundaryConditions(("Periodic", "ZeroInput")))
     # the zero-input axis pins its slots, so only the periodic axis's
     # slots stay as rows; the periodic axis contributes its slot columns
@@ -132,7 +133,7 @@ def test_count_configs_matches_full_system(p, m, thin, edge):
     rng = random.Random(p * 100 + m)
     spec = LatticeSpec(len(thin), l=edge, thin_dims=thin)
     for _ in range(2):
-        blk = assemble_block(random_brick(f, len(thin), thin, rng), spec)
+        blk = from_array(f, assemble_block(random_brick(f, len(thin), thin, rng), spec))
         n = spec.dimension
         dense = RingMatrix(f, n, n, [f.sample(rng) for _ in range(n * n)])
         u = [f.sample(rng) for _ in range(n)]

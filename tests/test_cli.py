@@ -2,9 +2,10 @@ import json
 import random
 import types
 
+import numpy as np
 import pytest
 
-from cubeblocks import cli, decomp3d, dim4, lattice
+from cubeblocks import cli, decomp3d, dim4, fieldmat, lattice
 from cubeblocks.cli import main, matrix_to_json
 from cubeblocks.fields import FiniteField
 from cubeblocks.identity import Verdict
@@ -552,7 +553,37 @@ def test_evolve_passes_detection_the_block_it_would_build(case, capsys, monkeypa
         return out
     monkeypatch.setattr(lattice, "evolve", spy_evolve)
     assert detect(*args, **kwargs) == detect(*args, **kwargs, block=passed)
-    assert len(built) == 1 and built[0] == passed
+    assert len(built) == 1 and np.array_equal(built[0], passed)
+
+
+def _conversions(monkeypatch):
+    """Record (name, rows) of every fieldmat.to_array and from_array call."""
+    calls = []
+    for name in ("to_array", "from_array"):
+        def spy(field, mat, name=name, real=getattr(fieldmat, name)):
+            rows = mat.shape[0] if isinstance(mat, np.ndarray) else mat.rows
+            calls.append((name, rows))
+            return real(field, mat)
+        monkeypatch.setattr(fieldmat, name, spy)
+    return calls
+
+
+def test_b3_pass_and_evolve_keep_blocks_as_arrays(capsys, monkeypatch):
+    # the only conversion of a b3 trial is the 3x3 brick; the 147-dim block
+    # at p = 7 goes from assembly to the checks as an array.  evolve turns
+    # a stage into a RingMatrix only as the next step's brick.
+    calls = _conversions(monkeypatch)
+    decomp3d._b3_pass.cache_clear()
+    code, rep = _run_json(["verify", "b3", "--p", "7", "--trials", "1",
+                           "--no-timestamp"], capsys)
+    assert code == 0 and rep["status"] == "verified"
+    assert calls == [("to_array", 3)]
+    calls.clear()
+    brick = _case_brick("3d-generic", random.Random(5))
+    code, rep = _run_json(["evolve", "--brick", json.dumps(brick_to_json(brick)),
+                           "--steps", "3", "--no-timestamp"], capsys)
+    assert code == 0 and rep["dimensions"] == [12, 48, 192]
+    assert ("from_array", 192) not in calls
 
 
 def test_unknown_suite_rejected():

@@ -527,9 +527,10 @@ def test_detection_witness_matches_per_point_loop(seed, monkeypatch):
     field = FiniteField(2, 8)
     a = D.sample_brick("3d-generic", field, random.Random(seed))
     brick = BrickSpec(3, (1, 1, 1), RingMatrix.from_rows(field, a))
-    block = evolve(brick, 1)[-1]
+    block = fieldmat.from_array(field, evolve(brick, 1)[-1])
     block[0, 0] = field.add(block[0, 0], field.one)
-    monkeypatch.setattr(lattice, "evolve", lambda *args, **kwargs: [block])
+    monkeypatch.setattr(lattice, "evolve",
+                        lambda *args, **kwargs: [fieldmat.to_array(field, block)])
     verdict = D.detect_evolution_summands("3d-generic", 1, seed=seed,
                                           brick=brick)
 

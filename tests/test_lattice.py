@@ -168,7 +168,7 @@ def test_assembly_independent_of_linear_extension():
         field = (F2, F4, FiniteField(3, 2))[rng.randrange(3)]
         brick = random_brick(field, d, thin, rng)
         spec = LatticeSpec(d, l, thin, ordering)
-        blk = fieldmat.to_array(field, assemble_block(brick, spec))
+        blk = assemble_block(brick, spec)
         for _ in range(3):
             order = random_linear_extension(spec, rng)
             assert np.array_equal(blk, row_major_assemble(brick, spec, order))
@@ -181,7 +181,8 @@ def test_assembly_independent_of_linear_extension():
 def test_identity_brick_gives_identity_block():
     brick = BrickSpec(3, (1, 1, 1), RingMatrix.identity(F2, 3))
     spec = LatticeSpec(3, 2)
-    assert assemble_block(brick, spec) == RingMatrix.identity(F2, spec.dimension)
+    assert fieldmat.from_array(F2, assemble_block(brick, spec)) \
+        == RingMatrix.identity(F2, spec.dimension)
 
 
 def test_direct_sum_brick_blocks_do_not_mix():
@@ -193,7 +194,7 @@ def test_direct_sum_brick_blocks_do_not_mix():
     m[1, 1] = F4.sample_nonzero(rng)
     brick = BrickSpec(2, (1, 1), m)
     spec = LatticeSpec(2, 2)
-    blk = assemble_block(brick, spec)
+    blk = fieldmat.from_array(F4, assemble_block(brick, spec))
     for i in range(2):
         for j in range(2):
             if i != j:
@@ -209,7 +210,8 @@ def test_field_and_generic_paths_agree():
     for field, d, l in [(F4, 2, 3), (FiniteField(3, 2), 3, 2)]:
         brick = random_brick(field, d, (1,) * d, rng)
         spec = LatticeSpec(d, l)
-        assert assemble_block(brick, spec) == _assemble_generic(brick, spec)
+        assert fieldmat.from_array(field, assemble_block(brick, spec)) \
+            == _assemble_generic(brick, spec)
 
 
 @pytest.mark.parametrize("p,m,d,l,thin", [
@@ -312,8 +314,38 @@ def test_generic_assembly_matches_column_loop(ring, d, l, thin):
     assert blk != RingMatrix.identity(ring, spec.dimension)
 
 
+ARRAY_FIELDS = {"GF2": F2, "GF4": F4, "GF3": FiniteField(3), "GF9": FiniteField(3, 2),
+                "GF49": FiniteField(7, 2)}
+THIN_3D = ((1, 1, 1), (2, 1, 1))
+# the generic rings at edge 2 only: their column loop at edge 3 takes seconds
+CONTRACT_CASES = ([(name, thin, l) for name in ARRAY_FIELDS for thin in THIN_3D
+                   for l in (2, 3)]
+                  + [(name, thin, 2) for name in GENERIC_RINGS for thin in THIN_3D])
+
+
+@pytest.mark.parametrize("name,thin,l", CONTRACT_CASES, ids=[
+    f"{name}-{''.join(map(str, thin))}-{l}" for name, thin, l in CONTRACT_CASES])
+def test_assemble_block_is_an_array_over_fields_only(name, thin, l):
+    # over GF(p^m) the block is the (n, n, m) coefficient array of the
+    # column-loop reference; over the other rings it is the RingMatrix
+    ring = {**ARRAY_FIELDS, **GENERIC_RINGS}[name]
+    rng = random.Random(sum(thin) * 10 + l)
+    k = sum(thin)
+    brick = BrickSpec(3, thin, RingMatrix(ring, k, k, [_ring_element(ring, rng)
+                                                       for _ in range(k * k)]))
+    spec = LatticeSpec(3, l, thin)
+    blk, ref = assemble_block(brick, spec), column_loop_assemble(brick, spec)
+    if isinstance(ring, FiniteField):
+        n = spec.dimension
+        assert isinstance(blk, np.ndarray) and blk.shape == (n, n, ring.m)
+        assert blk.dtype == fieldmat.coeff_dtype(ring.p)
+        assert np.array_equal(blk, fieldmat.to_array(ring, ref))
+    else:
+        assert isinstance(blk, RingMatrix) and blk == ref
+
+
 def test_evolve_dimensions():
     rng = random.Random(15)
     brick = random_brick(F2, 2, (1, 1), rng)
     stages = evolve(brick, 3)
-    assert [blk.rows for blk in stages] == [4, 8, 16]
+    assert [blk.shape[0] for blk in stages] == [4, 8, 16]

@@ -222,7 +222,7 @@ def test_brute_force_census_is_q_power():
     rng = random.Random(3)
     brick = random_brick(F3, 2, (1, 1), rng)
     spec = LatticeSpec(2, l=2)
-    blk = assemble_block(brick, spec)
+    blk = fieldmat.from_array(brick.ring, assemble_block(brick, spec))
     for tags in itertools.product(TAGS, repeat=2):
         cc = brute_force_census(blk, spec, BoundaryConditions(tags))
         assert cc.q == 3
@@ -236,7 +236,7 @@ def test_interior_determinism():
     for d, l in ((2, 2), (3, 2), (2, 3)):
         brick = random_brick(F2, d, (1,) * d, rng)
         spec = LatticeSpec(d, l=l)
-        blk = assemble_block(brick, spec)
+        blk = fieldmat.from_array(brick.ring, assemble_block(brick, spec))
         order = layered_order(spec)
         n = blk.rows
         for idx in range(2 ** n):

@@ -6,10 +6,13 @@ import importlib.util
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS_PATH = ROOT / "bench" / "spans.py"
+# bounds a hung child only: the three traced passes take under a second together
+PASS_LIMIT_S = 120
 
 
 def _unresolved(targets):
@@ -50,3 +53,22 @@ def test_import_loads_every_traced_module():
         env=env, capture_output=True, text=True, check=True).stdout.split()
     traced = {f"cubeblocks.{mod}" for mod, _ in _targets()}
     assert traced - set(loaded) == set()
+
+
+def test_traced_pass_keeps_every_pinned_layer_nonzero(monkeypatch):
+    # a call moved off a function the benchmark requires nonzero (say, the
+    # b3 assembly off lattice.assemble_block) passes every other test; one
+    # traced pass per workload, as bench/run.py makes it, catches that
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))  # run.py imports its siblings
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    for w in run.workloads.WORKLOADS:
+        inputs = run.workloads.make_inputs(w, 1)
+        result = run.run_pass(inputs, True, time.monotonic() + PASS_LIMIT_S)
+        checks = run.Checks()
+        checks.check_pass(inputs, result, None, w)
+        assert checks.failures == []
+        layers = run.per_layer(result)
+        assert [name for name in run.layers.required_nonzero(w)
+                if not layers[name] > 0] == [], w
