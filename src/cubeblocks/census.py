@@ -4,15 +4,24 @@ Per-axis boundary conditions on a block R acting on row vectors x:
 Periodic pins the axis output to the axis input, ZeroInput pins the axis
 input to zero, Free imposes nothing.  Each condition is linear in x, so
 the permitted configurations form a subspace and the count is q^e.
+
+Over GF(p^m) the census reads only the free rows of the block (the slots
+that no ZeroInput axis pins), as a coefficient array, and from them only
+the Periodic columns: ``free_rows`` assembles just those rows, and none
+when no axis is Periodic, since then nothing constrains the free slots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import fieldmat
 from .errors import InputError
 from .fields import FiniteField
-from .matrices import RingMatrix, rank
+from .lattice import assemble_block
+from .matrices import rank
 
 TAGS = ("Periodic", "ZeroInput", "Free")
 
@@ -46,23 +55,11 @@ class ConfigCount:
     e: int
 
 
-def build_constraint_system(r: RingMatrix, spec, bcs: BoundaryConditions) -> RingMatrix:
-    """The constraints left on the free slots, as a matrix C.
-
-    x is permitted iff x (R - I) vanishes on the Periodic slots and x
-    vanishes on the ZeroInput slots.  A ZeroInput column e_j of that
-    system forces x_j = 0: it adds exactly one to the rank and removes
-    row j from the other columns.  So C keeps only the free rows (slots
-    that no ZeroInput axis pins) and the Periodic columns of R - I, the
-    restriction y of x to the free rows is permitted iff y @ C = 0, and
-    the permitted configurations number q^(C.rows - rank C)."""
-    field = r.ring
-    if not isinstance(field, FiniteField):
-        raise InputError("constraint system needs a finite field matrix")
+def free_and_periodic(spec, bcs: BoundaryConditions) -> tuple[list[int], list[int]]:
+    """The free slots (those of every axis that is not ZeroInput) and the
+    Periodic slots, each in increasing order."""
     if len(bcs.tags) != spec.d:
         raise InputError("boundary conditions must cover every axis")
-    if r.rows != spec.dimension or r.cols != spec.dimension:
-        raise InputError("block does not match the lattice")
     free: list[int] = []
     periodic: list[int] = []
     for axis, tag in enumerate(bcs.tags):
@@ -71,22 +68,59 @@ def build_constraint_system(r: RingMatrix, spec, bcs: BoundaryConditions) -> Rin
             free.extend(block)
         if tag == "Periodic":
             periodic.extend(block)
-    out = r.submatrix(free, periodic)
-    # subtract the identity: each Periodic slot is also a free row
-    row_of = {i: t for t, i in enumerate(free)}
-    for c, j in enumerate(periodic):
-        out[row_of[j], c] = field.sub(out[row_of[j], c], field.one)
+    return free, periodic
+
+
+def free_rows(brick, spec, bcs: BoundaryConditions) -> np.ndarray | None:
+    """The rows of the brick's block that the census reads: the free rows
+    when an axis is Periodic, else None, with nothing assembled."""
+    free, periodic = free_and_periodic(spec, bcs)
+    return assemble_block(brick, spec, rows=free) if periodic else None
+
+
+def build_constraint_system(field: FiniteField, rows: np.ndarray, spec,
+                            bcs: BoundaryConditions) -> np.ndarray:
+    """The constraints left on the free slots, as a coefficient array C.
+
+    x is permitted iff x (R - I) vanishes on the Periodic slots and x
+    vanishes on the ZeroInput slots.  A ZeroInput column e_j of that
+    system forces x_j = 0: it adds exactly one to the rank and removes
+    row j from the other columns.  So C keeps only the free rows (slots
+    that no ZeroInput axis pins, given as rows, the block's rows at those
+    slots) and the Periodic columns of R - I, the restriction y of x to
+    the free rows is permitted iff y @ C = 0, and the permitted
+    configurations number q^(|free| - rank C)."""
+    if not isinstance(field, FiniteField):
+        raise InputError("constraint system needs a finite field matrix")
+    free, periodic = free_and_periodic(spec, bcs)
+    if rows.shape != (len(free), spec.dimension, field.m):
+        raise InputError("block rows do not match the lattice")
+    out = rows[:, periodic]
+    # subtract the identity: each Periodic slot is also a free row, and
+    # the one of GF(p^m) has coefficients (1, 0, ..., 0)
+    at, col = np.searchsorted(free, periodic), np.arange(len(periodic))
+    out[at, col, 0] = (out[at, col, 0] - 1) % field.p
     return out
 
 
-def count_configs(r: RingMatrix, spec, bcs: BoundaryConditions) -> ConfigCount:
-    field = r.ring
-    c = build_constraint_system(r, spec, bcs)
-    return ConfigCount(field.p, field.q, c.rows - rank(c))
+def count_configs(field: FiniteField, rows: np.ndarray | None, spec,
+                  bcs: BoundaryConditions) -> ConfigCount:
+    """q^(|free| - rank C) for the block's free rows (see
+    ``build_constraint_system``).  With no Periodic axis nothing
+    constrains the free slots: the count is q^|free| and rows is not
+    read, so a caller may pass None (as ``free_rows`` does)."""
+    free, periodic = free_and_periodic(spec, bcs)
+    if not periodic:
+        return ConfigCount(field.p, field.q, len(free))
+    c = build_constraint_system(field, rows, spec, bcs)
+    # through matrices.rank, which the benchmark times on its own
+    # (matrices.rank.s); the conversion goes when that moves to fieldmat
+    return ConfigCount(field.p, field.q, len(free) - rank(fieldmat.from_array(field, c)))
 
 
-def census_report(r: RingMatrix, spec, bcs: BoundaryConditions) -> dict:
+def census_report(field: FiniteField, rows: np.ndarray | None, spec,
+                  bcs: BoundaryConditions) -> dict:
     """The rank census; a caller that runs the oracle sets oracle_checked."""
-    count = count_configs(r, spec, bcs)
+    count = count_configs(field, rows, spec, bcs)
     return {"q": count.q, "exponent": count.e, "bcs": bcs.to_json(),
             "oracle_checked": False}

@@ -12,6 +12,12 @@ and ``reduced_product``, which stays in its product dtype for assembly.
 Every Gaussian elimination over a finite field in the package runs
 here, on one forward-elimination kernel: ``rank``, ``det`` and ``rref``
 build on it, and ``matrices`` routes its field routines through them.
+The kernel makes one step per pivot: one scan of the column finds the
+pivot and the rows to clear, one field inverse, and three products
+(the regular representations of the inverse and of the pivot row's
+tail together, the multipliers, the update).  Pivot rows stay unscaled,
+so ``det`` reads the pivot values as they are; ``rref`` back-substitutes
+with the same step and scales each pivot row once, at the end.
 Block assembly returns these arrays and the sampled b3 pass and summand
 detection read them as they are; ``from_array`` makes a ``RingMatrix``
 only where a caller reads entries as ints.
@@ -25,8 +31,9 @@ Products go through the regular representation.  The multiplication
 tensor T[a, b] = x^a * x^b mod f is built once per field by
 ``fold_reduce``, the one place where the modulus folds in; an entry e
 then acts as the m x m matrix over F_p whose row s holds x^s * e.  So
-``matmul``, each elimination step and each batch of block assembly is
-one matrix product over the integers followed by one reduction mod p.
+``matmul``, each product of an elimination step and each batch of block
+assembly is one matrix product over the integers followed by one
+reduction mod p.
 That product runs in one of three exact tiers, chosen from the shapes
 and from p alone: float32 BLAS while every partial sum stays below 2^24,
 float64 BLAS below 2^53, and past that int64 on reduced operands,
@@ -270,45 +277,54 @@ def scalar_of(field: FiniteField, arr: np.ndarray) -> int | None:
     return c
 
 
-def _clear(field: FiniteField, a: np.ndarray, r: int, c: int, rows: np.ndarray) -> None:
-    """Subtract from each of rows its column-c multiple of the unit-pivot
-    row r, from column c rightwards (everything left of c is zero in r):
-    the column entries times the pivot row's regular representation."""
-    if rows.size:
-        prod = mul_regular(field, a[rows, c:c + 1], regular(field, a[r:r + 1, c:]))
-        a[rows, c:] = sub(field, a[rows, c:], prod)
+def _step(field: FiniteField, a: np.ndarray, r: int, c: int, inv: int,
+          rows: np.ndarray) -> None:
+    """Clear column c of rows with pivot row r, whose entry at c has
+    inverse inv and which is zero left of c: each row loses (its entry
+    at c) * inv times row r, in place.  Row r itself is left unscaled."""
+    if not rows.size:
+        return
+    p, m, w = field.p, field.m, a.shape[1] - c - 1
+    # the regular representations of inv and of row r right of c, in one
+    # product; then one product for the multipliers and one for the update
+    stack = np.concatenate([[field.coeffs(inv)], a[r, c + 1:]])
+    reg = reduced_product(p, stack, _tensor(field)).reshape(w + 1, m, m)
+    f = _product(p, a[rows, c], reg[0])
+    tail = reg[1:].transpose(1, 0, 2).reshape(m, w * m)
+    a[rows, c + 1:] = sub(field, a[rows, c + 1:],
+                          _product(p, f, tail).reshape(rows.size, w, m))
+    a[rows, c] = 0
 
 
-def _forward(field: FiniteField, a: np.ndarray) -> tuple[list[int], list[int], int]:
+def _forward(field: FiniteField, a: np.ndarray) -> tuple[list[int], list[int], list[int], int]:
     """Forward elimination of a reduced array, in place.
 
-    Each step swaps up the first row with a nonzero entry in the column,
-    scales it to a unit pivot and clears the column below it.  Returns
-    the pivot columns, the pivot values before scaling and the number of
-    row swaps, so the determinant is (-1)^swaps times their product."""
+    Each pivot takes one scan of its column for the rows with a nonzero
+    entry: the first is swapped up to the pivot row, the rest are the rows
+    that ``_step`` clears.  Pivot rows stay unscaled.  Returns the pivot
+    columns, the pivot values, their inverses (one ``field.inv`` per
+    pivot) and the number of row swaps, so the determinant is
+    (-1)^swaps times the product of the values."""
     nrows, ncols = a.shape[0], a.shape[1]
-    pivots, values = [], []
+    pivots, values, inverses = [], [], []
     swaps = r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.flatnonzero(a[r:, c].any(axis=1))
+        nz = r + np.flatnonzero(a[r:, c].any(axis=1))
         if nz.size == 0:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
+        if nz[0] != r:
+            a[[r, nz[0]]] = a[[nz[0], r]]
             swaps += 1
         val = _entry(field, a[r, c])
         inv = field.inv(val)
-        if inv != field.one:
-            reg = regular(field, scalar_matrix(field, 1, inv))
-            a[r, c:] = mul_regular(field, a[r, c:, None], reg)[:, 0]
-        _clear(field, a, r, c, r + 1 + np.flatnonzero(a[r + 1:, c].any(axis=1)))
+        _step(field, a, r, c, inv, nz[1:])
         pivots.append(c)
         values.append(val)
+        inverses.append(inv)
         r += 1
-    return pivots, values, swaps
+    return pivots, values, inverses, swaps
 
 
 def _reduced(field: FiniteField, a: np.ndarray) -> np.ndarray:
@@ -323,7 +339,7 @@ def rank(field: FiniteField, a: np.ndarray) -> int:
 def det(field: FiniteField, a: np.ndarray) -> int:
     """Determinant of a square array."""
     n = a.shape[0]
-    pivots, values, swaps = _forward(field, _reduced(field, a))
+    pivots, values, _, swaps = _forward(field, _reduced(field, a))
     if len(pivots) < n:
         return field.zero
     out = field.neg(field.one) if swaps % 2 else field.one
@@ -402,11 +418,17 @@ def det_shifted(field: FiniteField, h: np.ndarray, points: list[int]) -> list[in
 
 def rref(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form (a new array) and its pivot columns: the
-    forward pass, then each pivot clears its column above it, last
-    pivot first."""
+    forward pass, then each pivot clears its column above it with the
+    same step, last pivot first; last, one product gives the regular
+    representations of the pivot inverses and one more scales every
+    pivot row by its own."""
     a = _reduced(field, a)
-    pivots = _forward(field, a)[0]
+    pivots, _, inverses, _ = _forward(field, a)
     for r in range(len(pivots) - 1, 0, -1):
         c = pivots[r]
-        _clear(field, a, r, c, np.flatnonzero(a[:r, c].any(axis=1)))
+        _step(field, a, r, c, inverses[r], np.flatnonzero(a[:r, c].any(axis=1)))
+    k, m = len(pivots), field.m
+    coeffs = ints_to_coeffs(field, np.array(inverses, dtype=_int_dtype(field)))
+    reg = reduced_product(field.p, coeffs, _tensor(field)).reshape(k, m, m)
+    a[:k] = _product(field.p, a[:k], reg)
     return a, pivots

@@ -132,16 +132,23 @@ class BrickSpec:
         return cls(json_int(obj, "d"), tuple(json_ints(obj, "thin_dims")), m)
 
 
-def assemble_block(brick: BrickSpec, spec: LatticeSpec) -> RingMatrix | np.ndarray:
+def assemble_block(brick: BrickSpec, spec: LatticeSpec,
+                   rows=None) -> RingMatrix | np.ndarray:
     """Product of brick copies over the cube, layer by layer, earlier
     vertices applied first (leftmost factor, acting on row vectors from
     the right).  Over GF(p^m) the block is its (n, n, m) coefficient
     array in fieldmat.coeff_dtype(p), which fieldmat.from_array turns
-    into a RingMatrix; over polynomial rings and ShiftAlgebra it is one."""
+    into a RingMatrix; over polynomial rings and ShiftAlgebra it is one.
+
+    Over GF(p^m), rows (a list of slot indices) builds only those rows
+    of the block, in that order, as a (len(rows), n, m) array: row r is
+    e_r times the product, so each row is built on its own."""
     if brick.d != spec.d or brick.thin_dims != spec.thin_dims:
         raise InputError("brick shape does not match the lattice")
     if isinstance(brick.ring, FiniteField):
-        return _assemble_field(brick, spec)
+        return _assemble_field(brick, spec, rows)
+    if rows is not None:
+        raise InputError("only a block over a finite field is built row by row")
     return _assemble_generic(brick, spec)
 
 
@@ -161,10 +168,10 @@ def _assemble_generic(brick, spec) -> RingMatrix:
 PANEL_ROWS = 64
 
 
-def _assemble_field(brick, spec):
-    """The block as a C-contiguous coefficient array in
-    fieldmat.coeff_dtype(p), built PANEL_ROWS rows at a time in one
-    reused accumulator.
+def _assemble_field(brick, spec, rows=None):
+    """The block, or the given rows of it, as a C-contiguous coefficient
+    array in fieldmat.coeff_dtype(p), built PANEL_ROWS rows at a time in
+    one reused accumulator.
 
     The accumulator is column-major, (column, coefficient, row), so a
     layer's gather and scatter move whole columns of the panel, and it
@@ -179,18 +186,19 @@ def _assemble_field(brick, spec):
     reg_t = fieldmat.regular(field, fieldmat.to_array(field, brick.matrix)).T
     reg_t = np.ascontiguousarray(reg_t, dtype=dtype)
     layers = spec.layers()
-    out = np.empty((n, n, m), dtype=fieldmat.coeff_dtype(field.p))
-    buf = np.empty(n * m * min(PANEL_ROWS, n), dtype=dtype)
-    for r0 in range(0, n, PANEL_ROWS):
-        rows = min(PANEL_ROWS, n - r0)
-        acc = buf[:n * m * rows].reshape(n, m, rows)
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+    out = np.empty((len(rows), n, m), dtype=fieldmat.coeff_dtype(field.p))
+    buf = np.empty(n * m * min(PANEL_ROWS, len(rows)), dtype=dtype)
+    for r0 in range(0, len(rows), PANEL_ROWS):
+        panel = rows[r0:r0 + PANEL_ROWS]
+        acc = buf[:n * m * len(panel)].reshape(n, m, len(panel))
         acc.fill(0)
-        acc[np.arange(r0, r0 + rows), 0, np.arange(rows)] = 1
+        acc[panel, 0, np.arange(len(panel))] = 1
         for idx in layers:
-            cols = acc[idx].reshape(len(idx), km, rows)
+            cols = acc[idx].reshape(len(idx), km, len(panel))
             acc[idx] = fieldmat.reduced_product(field.p, reg_t, cols).reshape(
-                idx.shape + (m, rows))
-        out[r0:r0 + rows] = acc.transpose(2, 0, 1)
+                idx.shape + (m, len(panel)))
+        out[r0:r0 + len(panel)] = acc.transpose(2, 0, 1)
     return out
 
 

@@ -6,7 +6,8 @@ polynomials), check them (the linear-extension checker), serve as
 independent references (the row-major block assembly and its per-vertex
 slot lookup, the column-loop assembly over any ring, the convolution
 product in GF(p^m) and the x^t reduction rows it folds with, row kernels,
-image tables, the full-system census rank, the circulant determinant
+the unit-pivot elimination kernel, image tables, the census of a
+RingMatrix block, the full-system census rank, the circulant determinant
 formula, the two-product scalar and two-rank spectrum checks of the
 sampled b3 claims, the full characteristic-polynomial check of the
 symbolic b3 spectrum), re-derive an acceptance
@@ -21,7 +22,7 @@ import random
 
 import numpy as np
 
-from cubeblocks import decomp3d, fieldmat, gf2, pointmap
+from cubeblocks import census, decomp3d, fieldmat, gf2, pointmap
 from cubeblocks.decomp3d import assemble_cube, mixed_product_difference, thick_basis_rows
 from cubeblocks.errors import InputError, SingularMatrixError, UnsupportedRingError
 from cubeblocks.fields import FiniteField
@@ -314,6 +315,86 @@ def circulant_det_charp(field: FiniteField, first_row: list, size: int):
 
 
 # ----------------------------------------------------------------------
+# elimination with unit pivots, the reference for fieldmat's elimination
+# ----------------------------------------------------------------------
+
+def unit_pivot_clear(field: FiniteField, a: np.ndarray, r: int, c: int,
+                     rows: np.ndarray) -> None:
+    """Subtract from each of rows its column-c multiple of the unit-pivot
+    row r, from column c rightwards (everything left of c is zero in r):
+    the column entries times the pivot row's regular representation."""
+    if rows.size:
+        prod = fieldmat.mul_regular(field, a[rows, c:c + 1],
+                                    fieldmat.regular(field, a[r:r + 1, c:]))
+        a[rows, c:] = fieldmat.sub(field, a[rows, c:], prod)
+
+
+def unit_pivot_forward(field: FiniteField, a: np.ndarray):
+    """Forward elimination of a reduced array, in place.
+
+    Each step swaps up the first row with a nonzero entry in the column,
+    scales it to a unit pivot and clears the column below it.  Returns
+    the pivot columns, the pivot values before scaling, the number of
+    row swaps and the number of pivots that cleared at least one row."""
+    nrows, ncols = a.shape[0], a.shape[1]
+    pivots, values = [], []
+    swaps = r = clearing = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.flatnonzero(a[r:, c].any(axis=1))
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+            swaps += 1
+        val = fieldmat._entry(field, a[r, c])
+        inv = field.inv(val)
+        if inv != field.one:
+            reg = fieldmat.regular(field, fieldmat.scalar_matrix(field, 1, inv))
+            a[r, c:] = fieldmat.mul_regular(field, a[r, c:, None], reg)[:, 0]
+        below = r + 1 + np.flatnonzero(a[r + 1:, c].any(axis=1))
+        clearing += bool(below.size)
+        unit_pivot_clear(field, a, r, c, below)
+        pivots.append(c)
+        values.append(val)
+        r += 1
+    return pivots, values, swaps, clearing
+
+
+def unit_pivot_rank(field: FiniteField, a: np.ndarray) -> int:
+    return len(unit_pivot_forward(field, fieldmat._reduced(field, a))[0])
+
+
+def unit_pivot_det(field: FiniteField, a: np.ndarray) -> int:
+    pivots, values, swaps, _ = unit_pivot_forward(field, fieldmat._reduced(field, a))
+    if len(pivots) < a.shape[0]:
+        return field.zero
+    out = field.neg(field.one) if swaps % 2 else field.one
+    for v in values:
+        out = field.mul(out, v)
+    return out
+
+
+def unit_pivot_rref(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    a = fieldmat._reduced(field, a)
+    pivots = unit_pivot_forward(field, a)[0]
+    for r in range(len(pivots) - 1, 0, -1):
+        c = pivots[r]
+        unit_pivot_clear(field, a, r, c, np.flatnonzero(a[:r, c].any(axis=1)))
+    return a, pivots
+
+
+def unit_pivot_inverse(field: FiniteField, a: np.ndarray) -> np.ndarray | None:
+    """The inverse of a square array from the rref of [a | 1], or None
+    when a is singular."""
+    n = a.shape[0]
+    red, pivots = unit_pivot_rref(field, np.concatenate([a, fieldmat.eye(field, n)], axis=1))
+    return red[:, n:] if len([c for c in pivots if c < n]) == n else None
+
+
+# ----------------------------------------------------------------------
 # the brute-force map x -> x R as an image table
 # ----------------------------------------------------------------------
 
@@ -358,6 +439,12 @@ def materialize_map(a: RingMatrix, guard: int = MAP_GUARD) -> PointMap:
 # ----------------------------------------------------------------------
 # censuses
 # ----------------------------------------------------------------------
+
+def census_of(r: RingMatrix, spec: LatticeSpec, bcs):
+    """census.count_configs on the free rows of a RingMatrix block."""
+    free = census.free_and_periodic(spec, bcs)[0]
+    return census.count_configs(r.ring, fieldmat.to_array(r.ring, r)[free], spec, bcs)
+
 
 def full_system_exponent(r: RingMatrix, spec: LatticeSpec, bcs) -> int:
     """The census exponent n - rank([R - I | E_Z]) from every constraint

@@ -595,3 +595,51 @@ def test_unknown_ordering_rejected(brick3_path):
     with pytest.raises(SystemExit) as exc:
         main(["assemble", "--brick", brick3_path, "--ordering", "((1, 0), (0, 1))"])
     assert exc.value.code == 2
+
+
+# ----------------------------------------------------------------------
+# the census assembles only the rows it reads
+# ----------------------------------------------------------------------
+
+def _spy_conversions(monkeypatch):
+    """Rows of every array fieldmat.from_array converts and of every
+    matrix fieldmat.to_array converts, and rows of every block assembly
+    over a finite field, in call order."""
+    seen = {"from_array": [], "to_array": [], "assembled": []}
+    from_array, to_array, assemble = fieldmat.from_array, fieldmat.to_array, \
+        lattice._assemble_field
+
+    def spy_from(field, arr):
+        seen["from_array"].append(arr.shape[0])
+        return from_array(field, arr)
+
+    def spy_to(field, m):
+        seen["to_array"].append(m.rows)
+        return to_array(field, m)
+
+    def spy_assemble(*args):
+        out = assemble(*args)
+        seen["assembled"].append(out.shape[0])
+        return out
+    monkeypatch.setattr(fieldmat, "from_array", spy_from)
+    monkeypatch.setattr(fieldmat, "to_array", spy_to)
+    monkeypatch.setattr(lattice, "_assemble_field", spy_assemble)
+    return seen
+
+
+def test_census_assembles_and_converts_only_free_rows(capsys, monkeypatch):
+    # GF(2^8) at edge 8: a 192-dim block, 128 free rows, 64 Periodic columns
+    seen = _spy_conversions(monkeypatch)
+    code, rep = _run_json(["census", "--brick", GEN3, "--edge", "8", "--bcs",
+                           "Periodic,ZeroInput,Free", "--no-timestamp"], capsys)
+    assert code == 0 and rep["census"]["oracle_checked"] is False
+    assert seen["assembled"] == [128]
+    assert 192 not in seen["from_array"] + seen["to_array"]
+
+
+def test_oracle_census_assembles_its_block_once(capsys, monkeypatch):
+    seen = _spy_conversions(monkeypatch)
+    code, rep = _run_json(["census", "--brick", GF2_CUBE, "--edge", "2", "--bcs",
+                           "Periodic,ZeroInput,Free", "--oracle", "--no-timestamp"], capsys)
+    assert code == 0 and rep["census"]["oracle_agrees"] is True
+    assert seen["assembled"] == [12]
