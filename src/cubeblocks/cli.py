@@ -94,10 +94,11 @@ def _from_decomp(name: str, report) -> dict:
     return out
 
 
-def matrix_to_json(m: RingMatrix) -> dict:
-    """A matrix over a finite field as it appears in reports."""
-    return {"rows": m.rows, "cols": m.cols,
-            "ring": m.ring.to_json(), "entries": m.to_rows()}
+def matrix_to_json(ring: FiniteField, rows: list[list[int]]) -> dict:
+    """A matrix over a finite field, given by its rows of int entries, as
+    it appears in reports."""
+    return {"rows": len(rows), "cols": len(rows[0]),
+            "ring": ring.to_json(), "entries": rows}
 
 
 # ----------------------------------------------------------------------
@@ -295,9 +296,9 @@ def cmd_assemble(args) -> dict:
     brick = _load_brick(args.brick)
     spec = LatticeSpec(brick.d, args.edge, brick.thin_dims, args.ordering)
     _check_caps(spec.dimension, args)
-    blk = fieldmat.from_array(brick.ring, assemble_block(brick, spec))
-    return {"lattice": spec.to_json(), "dimension": blk.rows,
-            "block": matrix_to_json(blk)}
+    rows = fieldmat.coeffs_to_ints(brick.ring, assemble_block(brick, spec)).tolist()
+    return {"lattice": spec.to_json(), "dimension": len(rows),
+            "block": matrix_to_json(brick.ring, rows)}
 
 
 def cmd_census(args) -> dict:
@@ -387,7 +388,8 @@ def cmd_reduce4d(args) -> dict:
         return report
     tag = "Circulant" if args.case == "Periodic4" else "UpperToeplitz"
     report["entry_tags"] = [[tag] * 3 for _ in range(3)]
-    report["entries"] = [[matrix_to_json(reduced.ring.matrix(x)) for x in row]
+    report["entries"] = [[matrix_to_json(brick.ring, reduced.ring.matrix(x).to_rows())
+                          for x in row]
                          for row in reduced.matrix.to_rows()]
     if brick.ring.p != 2:
         # the folding holds in every characteristic, the criterion does not

@@ -658,8 +658,8 @@ def detect_evolution_summands(case: str, n: int, seed: int = 0,
     evaluated at all points together.  brick, when not given, is drawn
     over GF(2^SAMPLE_DEGREE) from the seed.  block, when given, is R as
     the caller already evolved it from brick, the coefficient array that
-    lattice.evolve returns; otherwise R is evolved here.  Only the small
-    predicted pieces are converted to arrays."""
+    lattice.evolve returns; otherwise R is evolved here.  The predicted
+    pieces are built as int arrays and converted to coefficient arrays."""
     rng = random.Random(seed)
     census = evolution_census_closed_form(case, n)
     if brick is None:
@@ -667,25 +667,22 @@ def detect_evolution_summands(case: str, n: int, seed: int = 0,
         a = sample_brick(case, field, rng)
         brick = BrickSpec(len(a), (1,) * len(a), RingMatrix.from_rows(field, a))
     field = brick.ring
-    e = 2 ** n
-    tilde = RingMatrix(field, brick.matrix.rows, brick.matrix.cols,
-                       [field.pow(x, e) for x in brick.matrix.data])
+    tilde = np.array([[field.pow(x, 2 ** n) for x in row]
+                      for row in brick.matrix.to_rows()], dtype=object)
     # 3d-generic pairs the Frobenius-twisted brick with its transpose and
     # 3d-symmetric with the 6x6 double summand; 2d has a single count, so
     # zip drops the second piece
-    second = tilde.transpose()
+    second = tilde.T
     if case == "3d-symmetric":
-        second = RingMatrix.zeros(field, 6, 6)
-        for i in range(3):
-            for j in range(3):
-                second[2 * i, 2 * j] = second[2 * i + 1, 2 * j + 1] = tilde[i, j]
-                if {i, j} == {1, 2}:
-                    second[2 * i, 2 * j + 1] = tilde[i, j]
-    pieces = list(zip((tilde, second), census.counts))
+        second = np.zeros((6, 6), dtype=object)
+        second[0::2, 0::2] = second[1::2, 1::2] = tilde
+        second[2, 5], second[4, 3] = tilde[1, 2], tilde[2, 1]
+    pieces = [(fieldmat.ints_to_coeffs(field, x), mult)
+              for x, mult in zip((tilde, second), census.counts)]
     if block is None:
         from .lattice import evolve
         block = evolve(brick, n)[-1]
-    total_dim = sum(p.rows * mult for p, mult in pieces)
+    total_dim = sum(p.shape[0] * mult for p, mult in pieces)
     degree = block.shape[0]
     if degree != total_dim:
         return Verdict(False, witness={"failed": "dimension",
@@ -698,7 +695,7 @@ def detect_evolution_summands(case: str, n: int, seed: int = 0,
     rhs = [field.one] * len(points)
     for piece, mult in pieces:
         rhs = [field.mul(r, field.pow(d, mult))
-               for r, d in zip(rhs, dets(fieldmat.to_array(field, piece)))]
+               for r, d in zip(rhs, dets(piece))]
     for x, lhs, r in zip(points, dets(block), rhs):
         if lhs != r:
             return Verdict(False, witness={"failed": "determinant", "x": x})

@@ -21,19 +21,21 @@ with the same step and scales each pivot row once, at the end.
 Block assembly returns these arrays and the sampled b3 pass and summand
 detection read them as they are; ``from_array`` makes a ``RingMatrix``
 only where a caller reads entries as ints.
-The one similarity reduction is ``hessenberg``, to upper Hessenberg
-form; on that form ``det_shifted`` evaluates det(H - x) at many points
-at once by the division-free recurrence in the leading principal
-minors, so a characteristic polynomial is sampled at n + 1 points for
-the cost of one reduction instead of n + 1 eliminations.
+The one similarity reduction, ``hessenberg``, runs on the same step;
+on its upper Hessenberg form ``det_shifted`` evaluates det(H - x) at
+many points at once by the division-free recurrence in the leading
+principal minors, so a characteristic polynomial is sampled at n + 1
+points for the cost of one reduction instead of n + 1 eliminations.
 
 Products go through the regular representation.  The multiplication
 tensor T[a, b] = x^a * x^b mod f is built once per field by
 ``fold_reduce``, the one place where the modulus folds in; an entry e
-then acts as the m x m matrix over F_p whose row s holds x^s * e.  So
-``matmul``, each product of an elimination step and each batch of block
-assembly is one matrix product over the integers followed by one
-reduction mod p.
+then acts as the m x m matrix over F_p whose row s holds x^s * e:
+``_reps`` gives it for every entry of an array, and ``regular`` lays it
+out as one matrix, for block assembly only.  So ``matmul``,
+``_mul_entries`` (entry by entry), each product of an elimination step
+and each batch of block assembly is one matrix product over the
+integers followed by one reduction mod p.
 That product runs in one of three exact tiers, chosen from the shapes
 and from p alone: float32 BLAS while every partial sum stays below 2^24,
 float64 BLAS below 2^53, and past that int64 on reduced operands,
@@ -131,14 +133,13 @@ def product_dtype(p: int, k: int):
     return _tier(k * (p - 1) ** 2)
 
 
-def _tier_product(p: int, x: np.ndarray, y: np.ndarray, xmax: int,
-                  ymax: int) -> tuple[np.ndarray, int]:
-    """x @ y (numpy matmul broadcasting) for arrays of nonnegative
-    integers at most xmax and ymax, in the tier of its bound k * xmax *
-    ymax, and a bound on the entries returned: the float product,
-    unreduced, or the int64 product reduced mod p."""
+def _tier_product(p: int, x: np.ndarray, y: np.ndarray, ymax: int) -> tuple[np.ndarray, int]:
+    """x @ y (numpy matmul broadcasting) for x of reduced entries and y of
+    nonnegative integers at most ymax, in the tier of its bound
+    k * (p-1) * ymax, and a bound on the entries returned: the float
+    product, unreduced, or the int64 product reduced mod p."""
     k = x.shape[-1]
-    bound = k * xmax * ymax
+    bound = k * (p - 1) * ymax
     dtype = _tier(bound)
     if dtype is not np.int64:
         return np.matmul(x.astype(dtype, copy=False), y.astype(dtype, copy=False)), bound
@@ -187,7 +188,7 @@ def _reduce(x: np.ndarray, p: int, bound: int) -> np.ndarray:
 def reduced_product(p: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x @ y mod p for operands with entries in [0, p), in the dtype of
     its tier, product_dtype(p, k)."""
-    out, bound = _tier_product(p, x, y, p - 1, p - 1)
+    out, bound = _tier_product(p, x, y, p - 1)
     return _reduce(out, p, bound)
 
 
@@ -217,26 +218,26 @@ def matmul(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     unreduced; the product is reduced once, at the end."""
     p, m = field.p, field.m
     n, k = a.shape[0], a.shape[1]
-    areg, bound = _tier_product(p, a.reshape(-1, m), _tensor(field), p - 1, p - 1)
+    areg, bound = _tier_product(p, a.reshape(-1, m), _tensor(field), p - 1)
     bt = b.transpose(1, 0, 2).reshape(b.shape[1], k * m)
-    out, bound = _tier_product(p, bt, areg.reshape(n, k * m, m), p - 1, bound)
+    out, bound = _tier_product(p, bt, areg.reshape(n, k * m, m), bound)
     return _reduce(out, p, bound).astype(coeff_dtype(p), copy=False)
+
+
+def _reps(field: FiniteField, x: np.ndarray) -> np.ndarray:
+    """The reduced regular representation of every entry e of x, shape
+    x.shape[:-1] + (m, m): (..., s, t) holds coefficient t of x^s * e."""
+    m = field.m
+    reps = reduced_product(field.p, x.reshape(-1, m), _tensor(field))
+    return reps.reshape(x.shape[:-1] + (m, m))
 
 
 def regular(field: FiniteField, b: np.ndarray) -> np.ndarray:
     """Right multiplication by the (k, j, m) array b as one (k*m, j*m)
-    matrix over F_p: row (i, s), column (j, t) holds coefficient t of
-    x^s * b[i, j]."""
+    matrix over F_p, for block assembly: row (i, s), column (j, t) holds
+    coefficient t of x^s * b[i, j]."""
     k, j, m = b.shape
-    reg = _product(field.p, b.reshape(-1, m), _tensor(field))
-    return reg.reshape(k, j, m, m).transpose(0, 2, 1, 3).reshape(k * m, j * m)
-
-
-def mul_regular(field: FiniteField, x: np.ndarray, reg: np.ndarray) -> np.ndarray:
-    """x @ b for x of shape (..., k, m), given reg = regular(field, b)."""
-    m = field.m
-    out = _product(field.p, x.reshape(-1, reg.shape[0]), reg)
-    return out.reshape(x.shape[:-2] + (reg.shape[1] // m, m))
+    return _reps(field, b).transpose(0, 2, 1, 3).reshape(k * m, j * m)
 
 
 def sub(field: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -278,22 +279,23 @@ def scalar_of(field: FiniteField, arr: np.ndarray) -> int | None:
 
 
 def _step(field: FiniteField, a: np.ndarray, r: int, c: int, inv: int,
-          rows: np.ndarray) -> None:
+          rows: np.ndarray) -> np.ndarray | None:
     """Clear column c of rows with pivot row r, whose entry at c has
-    inverse inv and which is zero left of c: each row loses (its entry
-    at c) * inv times row r, in place.  Row r itself is left unscaled."""
+    inverse inv and which is zero left of c: each row loses f = (its
+    entry at c) * inv times row r, in place, and the multipliers f are
+    returned (None without rows).  Row r itself is left unscaled."""
     if not rows.size:
-        return
+        return None
     p, m, w = field.p, field.m, a.shape[1] - c - 1
     # the regular representations of inv and of row r right of c, in one
     # product; then one product for the multipliers and one for the update
-    stack = np.concatenate([[field.coeffs(inv)], a[r, c + 1:]])
-    reg = reduced_product(p, stack, _tensor(field)).reshape(w + 1, m, m)
+    reg = _reps(field, np.concatenate([[field.coeffs(inv)], a[r, c + 1:]]))
     f = _product(p, a[rows, c], reg[0])
     tail = reg[1:].transpose(1, 0, 2).reshape(m, w * m)
     a[rows, c + 1:] = sub(field, a[rows, c + 1:],
                           _product(p, f, tail).reshape(rows.size, w, m))
     a[rows, c] = 0
+    return f
 
 
 def _forward(field: FiniteField, a: np.ndarray) -> tuple[list[int], list[int], list[int], int]:
@@ -349,42 +351,33 @@ def det(field: FiniteField, a: np.ndarray) -> int:
 
 
 def _mul_entries(field: FiniteField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x * y entry by entry, for coefficient arrays of one shape (..., m):
-    each entry of x times the regular representation of its partner."""
-    m = field.m
-    yreg = regular(field, y.reshape(-1, 1, m)).reshape(-1, m, m)
-    return _product(field.p, x.reshape(-1, 1, m), yreg).reshape(x.shape)
+    """x * y entry by entry, for coefficient arrays of shape (..., m), y
+    of x's shape or a single entry: each entry of x times the regular
+    representation of its partner, in one product."""
+    return _product(field.p, x[..., None, :], _reps(field, y))[..., 0, :]
 
 
 def hessenberg(field: FiniteField, a: np.ndarray) -> np.ndarray:
     """An upper Hessenberg array similar to the square array a (a new
-    array).  For each column c, the first row from c + 1 down with a
-    nonzero entry in c is swapped into row c + 1, with the matching
-    column swap; one rank-1 row update then clears the column below that
-    pivot, and one column update applies the inverse operation on the
-    right.  One field inverse per column."""
-    p = field.p
+    array).  For each column c, one scan from row c + 1 down gives the
+    pivot (the first nonzero), swapped into row c + 1 with the matching
+    column, and the rows to clear (the rest).  ``_step`` clears them with
+    one field inverse, and column c + 1 gains their columns times their
+    multipliers f in one product: G h G^-1 with G = 1 - f e_{c+1}^T."""
     h = _reduced(field, a)
     n = h.shape[0]
     for c in range(n - 2):
-        nz = np.flatnonzero(h[c + 1:, c].any(axis=1))
-        if nz.size == 0:
-            continue
-        piv = c + 1 + int(nz[0])
-        if piv != c + 1:
-            h[[c + 1, piv]] = h[[piv, c + 1]]
-            h[:, [c + 1, piv]] = h[:, [piv, c + 1]]
-        if not h[c + 2:, c].any():
-            continue
-        inv = field.inv(_entry(field, h[c + 1, c]))
-        t = mul_regular(field, h[c + 2:, c, None],
-                        regular(field, scalar_matrix(field, 1, inv)))
-        # rows c+2.. minus t times row c+1, then column c+1 plus the
-        # columns c+2.. times t: G h G^-1 with G = 1 - t e_{c+1}^T
-        h[c + 2:, c:] = sub(field, h[c + 2:, c:],
-                            mul_regular(field, t, regular(field, h[c + 1:c + 2, c:])))
-        h[:, c + 1] += mul_regular(field, h[:, c + 2:], regular(field, t))[:, 0]
-        h[:, c + 1] %= p
+        nz = c + 1 + np.flatnonzero(h[c + 1:, c].any(axis=1))
+        if nz.size and nz[0] != c + 1:
+            h[[c + 1, nz[0]]] = h[[nz[0], c + 1]]
+            h[:, [c + 1, nz[0]]] = h[:, [nz[0], c + 1]]
+        if nz.size > 1:
+            f = _step(field, h, c + 1, c, field.inv(_entry(field, h[c + 1, c])), nz[1:])
+            # f on the left, since matmul represents its left operand's
+            # entries; np.take gathers the columns contiguously, h[:, rows] not
+            cols = np.take(h, nz[1:], axis=1).transpose(1, 0, 2)
+            h[:, c + 1] += matmul(field, f[None], cols)[0]
+            h[:, c + 1] %= field.p
     return h
 
 
@@ -406,11 +399,9 @@ def det_shifted(field: FiniteField, h: np.ndarray, points: list[int]) -> list[in
         q[k + 1] = _mul_entries(field, (h[k, k] - xs) % p, q[k])
         if k == 0:
             continue
-        s = np.concatenate([s, eye(field, 1)[0]])
-        s = mul_regular(field, s[:, None], regular(field, h[k:k + 1, k - 1:k]))[:, 0]
+        # s holds (-1)^(k-i) s_ik: each step scales it by -h_{k,k-1}
+        s = _mul_entries(field, np.concatenate([s, eye(field, 1)[0]]), -h[k, k - 1] % p)
         coef = _mul_entries(field, h[:k, k], s)
-        odd = (k - np.arange(k)) % 2 == 1
-        coef[odd] = (-coef[odd]) % p
         q[k + 1] += matmul(field, coef[None], q[:k])[0]
         q[k + 1] %= p
     return [int(v) for v in coeffs_to_ints(field, q[n])]
@@ -427,8 +418,6 @@ def rref(field: FiniteField, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     for r in range(len(pivots) - 1, 0, -1):
         c = pivots[r]
         _step(field, a, r, c, inverses[r], np.flatnonzero(a[:r, c].any(axis=1)))
-    k, m = len(pivots), field.m
     coeffs = ints_to_coeffs(field, np.array(inverses, dtype=_int_dtype(field)))
-    reg = reduced_product(field.p, coeffs, _tensor(field)).reshape(k, m, m)
-    a[:k] = _product(field.p, a[:k], reg)
+    a[:len(pivots)] = _product(field.p, a[:len(pivots)], _reps(field, coeffs))
     return a, pivots

@@ -6,7 +6,8 @@ polynomials), check them (the linear-extension checker), serve as
 independent references (the row-major block assembly and its per-vertex
 slot lookup, the column-loop assembly over any ring, the convolution
 product in GF(p^m) and the x^t reduction rows it folds with, row kernels,
-the unit-pivot elimination kernel, image tables, the census of a
+the unit-pivot elimination kernel, the column-update Hessenberg
+reduction, image tables, the census of a
 RingMatrix block, the full-system census rank, the circulant determinant
 formula, the two-product scalar and two-rank spectrum checks of the
 sampled b3 claims, the full characteristic-polynomial check of the
@@ -322,10 +323,9 @@ def unit_pivot_clear(field: FiniteField, a: np.ndarray, r: int, c: int,
                      rows: np.ndarray) -> None:
     """Subtract from each of rows its column-c multiple of the unit-pivot
     row r, from column c rightwards (everything left of c is zero in r):
-    the column entries times the pivot row's regular representation."""
+    the column entries times the pivot row."""
     if rows.size:
-        prod = fieldmat.mul_regular(field, a[rows, c:c + 1],
-                                    fieldmat.regular(field, a[r:r + 1, c:]))
+        prod = fieldmat.matmul(field, a[rows, c:c + 1], a[r:r + 1, c:])
         a[rows, c:] = fieldmat.sub(field, a[rows, c:], prod)
 
 
@@ -352,8 +352,8 @@ def unit_pivot_forward(field: FiniteField, a: np.ndarray):
         val = fieldmat._entry(field, a[r, c])
         inv = field.inv(val)
         if inv != field.one:
-            reg = fieldmat.regular(field, fieldmat.scalar_matrix(field, 1, inv))
-            a[r, c:] = fieldmat.mul_regular(field, a[r, c:, None], reg)[:, 0]
+            a[r, c:] = fieldmat.matmul(field, a[r, c:, None],
+                                       fieldmat.scalar_matrix(field, 1, inv))[:, 0]
         below = r + 1 + np.flatnonzero(a[r + 1:, c].any(axis=1))
         clearing += bool(below.size)
         unit_pivot_clear(field, a, r, c, below)
@@ -392,6 +392,32 @@ def unit_pivot_inverse(field: FiniteField, a: np.ndarray) -> np.ndarray | None:
     n = a.shape[0]
     red, pivots = unit_pivot_rref(field, np.concatenate([a, fieldmat.eye(field, n)], axis=1))
     return red[:, n:] if len([c for c in pivots if c < n]) == n else None
+
+
+def column_update_hessenberg(field: FiniteField, a: np.ndarray) -> np.ndarray:
+    """The reference for fieldmat.hessenberg: the same pivot and swaps,
+    then the multipliers t of every row below the pivot (zero where the
+    row is), a rank-1 row update of rows c+2.. from column c, and the
+    column update by all columns c+2..: G h G^-1 with G = 1 - t e_{c+1}^T."""
+    h = fieldmat._reduced(field, a)
+    n = h.shape[0]
+    for c in range(n - 2):
+        nz = np.flatnonzero(h[c + 1:, c].any(axis=1))
+        if nz.size == 0:
+            continue
+        piv = c + 1 + int(nz[0])
+        if piv != c + 1:
+            h[[c + 1, piv]] = h[[piv, c + 1]]
+            h[:, [c + 1, piv]] = h[:, [piv, c + 1]]
+        if not h[c + 2:, c].any():
+            continue
+        inv = field.inv(fieldmat._entry(field, h[c + 1, c]))
+        t = fieldmat.matmul(field, h[c + 2:, c, None], fieldmat.scalar_matrix(field, 1, inv))
+        h[c + 2:, c:] = fieldmat.sub(field, h[c + 2:, c:],
+                                     fieldmat.matmul(field, t, h[c + 1:c + 2, c:]))
+        h[:, c + 1] += fieldmat.matmul(field, h[:, c + 2:], t)[:, 0]
+        h[:, c + 1] %= field.p
+    return h
 
 
 # ----------------------------------------------------------------------

@@ -134,8 +134,8 @@ def test_reduce4d_entries_match_matrix_route(case, tag, capsys):
     b = RingMatrix.from_rows(F256, BRICK4)
     t = dim4.shift_matrix(F256, 2, case)
     w = mat_inverse(RingMatrix.identity(F256, 2) - t.scalar_mul(b[3, 3])) @ t
-    want = [[matrix_to_json(mat_add(RingMatrix.scalar(F256, 2, b[i, j]),
-                                    w.scalar_mul(F256.mul(b[i, 3], b[3, j]))))
+    want = [[matrix_to_json(F256, mat_add(RingMatrix.scalar(F256, 2, b[i, j]),
+                                          w.scalar_mul(F256.mul(b[i, 3], b[3, j]))).to_rows())
              for j in range(3)] for i in range(3)]
     assert rep["entries"] == want
 
@@ -155,8 +155,8 @@ def test_reduce4d_odd_p_reports_entries(case, capsys):
     assert "characteristic 2" in rep["nondegenerate_reason"]
     # b44 = 0, so w = T and the entries are k_ij 1 + b_i4 b_4j T
     t = dim4.shift_matrix(f3, 2, case)
-    want = [[matrix_to_json(mat_add(RingMatrix.scalar(f3, 2, rows[i][j]),
-                                    t.scalar_mul(f3.mul(rows[i][3], rows[3][j]))))
+    want = [[matrix_to_json(f3, mat_add(RingMatrix.scalar(f3, 2, rows[i][j]),
+                                        t.scalar_mul(f3.mul(rows[i][3], rows[3][j]))).to_rows())
              for j in range(3)] for i in range(3)]
     assert rep["entries"] == want
 

@@ -5,7 +5,10 @@ pivot that clears rows.  ``reference.unit_pivot_*`` is the kernel that
 scales every pivot row to a unit pivot first; both must give the same
 rank, determinant, reduced row echelon form (pivots and entries) and
 inverse on every product tier, int64 included, and on the shapes where
-elimination has edge cases.  The cost guard counts calls, never time.
+elimination has edge cases.  ``fieldmat.hessenberg`` clears its columns
+with the same step and must return the very array of
+``reference.column_update_hessenberg``.  The cost guards count calls,
+never time.
 """
 
 import random
@@ -19,8 +22,8 @@ from cubeblocks.errors import SingularMatrixError
 from cubeblocks.fields import FiniteField
 from cubeblocks.matrices import mat_inverse
 from reference import (
-    unit_pivot_det, unit_pivot_forward, unit_pivot_inverse, unit_pivot_rank,
-    unit_pivot_rref,
+    column_update_hessenberg, unit_pivot_det, unit_pivot_forward, unit_pivot_inverse,
+    unit_pivot_rank, unit_pivot_rref,
 )
 
 # GF(61) is the last int8 field; GF(2^31 - 1) runs its products in int64
@@ -94,3 +97,69 @@ def test_rank_makes_one_inverse_per_pivot_and_three_products_per_clearing_pivot(
             assert fieldmat.rank(f, a) == len(pivots)
         assert calls["inv"] == len(pivots)
         assert calls["product"] <= 3 * clearing
+
+
+def _hessenberg_cases(f, n, rng):
+    """Dense; block diagonal, whose reduction meets a column with nothing
+    below the diagonal; a zero at (1, 0) above nonzeros (a row and column
+    swap, then rows to clear); a single nonzero below it (a swap and no
+    rows); all zero; already upper Hessenberg."""
+    dense = _random(f, n, n, rng)
+    blocks = _random(f, n, n, rng)
+    blocks[:n // 2, n // 2:] = blocks[n // 2:, :n // 2] = 0
+    swap, single = _random(f, n, n, rng), _random(f, n, n, rng)
+    hess = _random(f, n, n, rng)
+    hess[np.tril(np.ones((n, n), bool), -2)] = 0
+    if n > 2:
+        swap[1, 0] = 0
+        swap[2, 0] = f.coeffs(f.one)
+        single[1:, 0] = 0
+        single[n - 1, 0] = f.coeffs(f.one)
+    return [dense, blocks, swap, single, np.zeros_like(dense), hess]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 48])
+@pytest.mark.parametrize("p,m", FIELDS, ids=IDS)
+def test_hessenberg_matches_the_column_update_reduction(p, m, n):
+    f = FiniteField(p, m)
+    rng = random.Random(p * 41 + m * 7 + n)
+    points = [f.sample(rng) for _ in range(3)]
+    for a in _hessenberg_cases(f, n, rng):
+        h = fieldmat.hessenberg(f, a)
+        want = column_update_hessenberg(f, a)
+        assert h.dtype == want.dtype and np.array_equal(h, want)
+        assert fieldmat.det_shifted(f, h, points) == fieldmat.det_shifted(f, want, points)
+
+
+@pytest.mark.parametrize("p,m", FIELDS, ids=IDS)
+def test_hessenberg_makes_one_inverse_and_one_step_per_clearing_column(p, m, monkeypatch):
+    f = FiniteField(p, m)
+    rng = random.Random(p * 43 + m)
+    calls = Counter()
+    step, inv = fieldmat._step, FiniteField.inv
+
+    def counted_step(*args):
+        calls["step"] += 1
+        return step(*args)
+
+    def counted_inv(self, x):
+        calls["inv"] += 1
+        return inv(self, x)
+
+    def no_regular(*args):
+        raise AssertionError("fieldmat.regular is for block assembly only")
+
+    for a in _hessenberg_cases(f, 12, rng):
+        # the reference makes one inverse per column with rows to clear
+        with monkeypatch.context() as mp:
+            mp.setattr(FiniteField, "inv", counted_inv)
+            column_update_hessenberg(f, a)
+        clearing = calls["inv"]
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(fieldmat, "_step", counted_step)
+            mp.setattr(FiniteField, "inv", counted_inv)
+            mp.setattr(fieldmat, "regular", no_regular)
+            fieldmat.det_shifted(f, fieldmat.hessenberg(f, a), [f.zero, f.one])
+        assert calls == Counter(inv=clearing, step=clearing)
+        calls.clear()

@@ -105,7 +105,7 @@ def test_product_switches_to_int64_at_2_53(k, dtype):
     p = 1000003
     x = np.full((2, k), p - 2, dtype=np.int64)
     y = np.full((k, 3), p - 2, dtype=np.int64)
-    raw, bound = fieldmat._tier_product(p, x, y, p - 1, p - 1)
+    raw, bound = fieldmat._tier_product(p, x, y, p - 1)
     assert raw.dtype == dtype
     assert bound == (p - 1 if dtype is np.int64 else k * (p - 1) ** 2)
     got = fieldmat._product(p, x, y)
@@ -122,7 +122,7 @@ def test_product_switches_to_float64_at_2_24(k, dtype):
     assert fieldmat.product_dtype(p, k) == dtype
     x = np.full((2, k), p - 2, dtype=np.int64)
     y = np.full((k, 3), p - 2, dtype=np.int64)
-    raw, bound = fieldmat._tier_product(p, x, y, p - 1, p - 1)
+    raw, bound = fieldmat._tier_product(p, x, y, p - 1)
     assert raw.dtype == dtype and (raw == k * (p - 2) ** 2).all()
     assert bound == k * (p - 1) ** 2
     got = fieldmat._product(p, x, y)
