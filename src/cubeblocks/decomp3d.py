@@ -485,31 +485,32 @@ def symmetric_g_vectors(ring, a):
 
 
 def _exact_div(ring, x, denom):
-    """Exact division by an element known to divide x (a monomial in the
-    polynomial case, a base scalar in the shift-algebra case)."""
+    """Exact division by a monomial in the polynomial case and by a base
+    scalar in the shift-algebra case; None when a polynomial quotient is
+    not a polynomial."""
     if isinstance(ring, ShiftAlgebra):
         if not ring.is_scalar(denom):
             raise InputError("shift-algebra division needs a scalar denominator")
-        return tuple(_exact_div(ring.base, c, denom[0]) for c in x)
+        out = tuple(_exact_div(ring.base, c, denom[0]) for c in x)
+        return None if any(c is None for c in out) else out
     if isinstance(x, MultiPoly):
-        q = x.monomial_quotient(denom)
-        if q is None:
-            raise RuntimeError("quotient is not polynomial")
-        return q
+        return x.monomial_quotient(denom)
     return ring.mul(x, ring.inv(denom))
 
 
 def defining_g_vectors(ring, a, blk):
     """All three distinguished vectors: the printed first one and the
     second and third from their defining quotients in the 2x2x2 cube
-    block blk."""
+    block blk.  A vector with an entry whose quotient is not a
+    polynomial is None."""
     g1 = symmetric_g_vectors(ring, a)[0]
     sub = _cube_sub(blk, 4)
     out = [g1]
     for j, aij in ((1, a[0][1]), (2, a[0][2])):
         image = row_vec_mul(g1, sub(0, j))
         denom = ring.mul(aij, aij)
-        out.append([_exact_div(ring, x, denom) for x in image])
+        g = [_exact_div(ring, x, denom) for x in image]
+        out.append(None if any(x is None for x in g) else g)
     return out
 
 
@@ -523,8 +524,8 @@ def g3_typo_report() -> dict:
         "printed_identical": printed[1] == printed[2],
         "g2_matches_printed": g2 == printed[1],
         "g3_matches_printed": g3 == printed[2],
-        "typo_confirmed": g2 == printed[1] and g3 != printed[2],
-        "g3_recomputed": [repr(x) for x in g3],
+        "typo_confirmed": g2 == printed[1] and g3 is not None and g3 != printed[2],
+        "g3_recomputed": None if g3 is None else [repr(x) for x in g3],
     }
 
 
@@ -574,6 +575,10 @@ def verify_symmetric_decomposition(level: str = "simple", mode: str = "symbolic"
     # the second and third distinguished vectors come from their defining
     # quotients; the printed third one carries a typo (see g3_typo_report)
     gs = defining_g_vectors(ring, a, blk)
+    for j, g in enumerate(gs):
+        if g is None:
+            return DecompositionReport(summands, 2, Verdict(False, witness={
+                "failed": "g-vector quotient", "vector": j}))
     per_space = [[t[1], t[2], g, t[0]] for t, g in zip(thick_basis_rows(ring, a), gs)]
     bad = _conjugation_mismatch(_stack_basis(ring, per_space), blk,
                                 _sigma_symmetric(ring, a))

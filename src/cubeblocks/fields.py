@@ -8,6 +8,20 @@ The reducing modulus for GF(p^m) is chosen deterministically: the monic
 irreducible of degree m whose coefficient vector (constant term first)
 encodes to the smallest integer in base p.  The same (p, m) therefore
 always yields the same field.
+
+A product takes one of four routes:
+
+- m = 1: the residue product mod p;
+- m > 1 and q <= LOG_TABLE_MAX: log/antilog tables, a^i * a^j = g^(i+j)
+  for the smallest primitive element g (Lidl and Niederreiter, Finite
+  Fields, ch. 9); inverses and powers read the same tables;
+- m > 1, q > LOG_TABLE_MAX and p = 2: a carry-less product of bit
+  patterns, reduced by the modulus;
+- m > 1, q > LOG_TABLE_MAX and odd p: Kronecker substitution, one int
+  product of the digits packed into slots.
+
+The tables are built with the last two routes and cached per (p, m,
+modulus), so every later FiniteField of the same field shares them.
 """
 
 from __future__ import annotations
@@ -165,6 +179,51 @@ def find_irreducible(p: int, m: int) -> tuple[int, ...]:
 # Field
 # ----------------------------------------------------------------------
 
+# the largest q of a field GF(p^m), m > 1, that multiplies through tables
+LOG_TABLE_MAX = 256
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def _square_multiply(mul, a: int, e: int) -> int:
+    """a^e for e >= 0 with the product mul."""
+    result = 1
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        e >>= 1
+    return result
+
+
+@lru_cache(maxsize=None)
+def _log_tables(field: "FiniteField") -> tuple[list[int], list[int]]:
+    """exp, with exp[i] = g^i for i < 2(q - 1), and log, its inverse on
+    the nonzero elements, for the smallest primitive element g.  Built
+    with the product that does without tables; cached per field, whose
+    equality is that of (p, m, modulus)."""
+    q, mul = field.q, field._mul_slow
+    cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
+    g = next(x for x in range(2, q)
+             if all(_square_multiply(mul, x, c) != 1 for c in cofactors))
+    exp = [1] * (q - 1)
+    for i in range(1, q - 1):
+        exp[i] = mul(exp[i - 1], g)
+    log = [0] * q
+    for i, x in enumerate(exp):
+        log[x] = i
+    return exp + exp, log
+
+
 class FiniteField:
     """GF(p^m) with int-encoded elements; also serves as a ring object.
 
@@ -205,6 +264,9 @@ class FiniteField:
                             for row in red.tolist()]
         # the modulus as a bit pattern, for products in characteristic 2
         self._modbits = sum(1 << i for i, c in enumerate(modulus) if c)
+        self._exp = self._log = None
+        if m > 1 and self.q <= LOG_TABLE_MAX:
+            self._exp, self._log = _log_tables(self)
 
     # -- representation ------------------------------------------------
 
@@ -250,8 +312,15 @@ class FiniteField:
         return out
 
     def mul(self, a: int, b: int) -> int:
+        log = self._log
+        if log is not None:
+            return self._exp[log[a] + log[b]] if a and b else 0
         if self.m == 1:
             return (a * b) % self.p
+        return self._mul_slow(a, b)
+
+    def _mul_slow(self, a: int, b: int) -> int:
+        """The product in GF(p^m), m > 1, without tables."""
         if self.p == 2:
             return self._mul2(a, b)
         # Kronecker substitution: the coefficients sit in b-bit slots of
@@ -301,18 +370,15 @@ class FiniteField:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        result = self.one
-        acc = a
-        while e:
-            if e & 1:
-                result = self.mul(result, acc)
-            acc = self.mul(acc, acc)
-            e >>= 1
-        return result
+        if a and self._log is not None:
+            return self._exp[self._log[a] * e % (self.q - 1)]
+        return _square_multiply(self.mul, a, e)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
+        if self._log is not None:
+            return self._exp[self.q - 1 - self._log[a]]
         p = self.p
         if self.m == 1:
             return pow(a, p - 2, p)

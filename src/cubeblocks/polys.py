@@ -1,47 +1,100 @@
 """Sparse multivariate polynomials over F_p or the integers, and the
 shift algebras base[t]/(t^l - 1) and base[t]/(t^l) over any ring.
 
-A polynomial is a map from exponent vectors to nonzero coefficients.
-The coefficient ring is tagged by ``char``: 0 means integer coefficients
-(Python ints, so no overflow), a prime p means F_p.  Terms are stored
-in no particular order and printed in graded-lexicographic order.
+A polynomial is a map from monomials to nonzero coefficients.  The
+coefficient ring is tagged by ``char``: 0 means integer coefficients
+(Python ints, so no overflow), a prime p means F_p.
+
+A monomial is one packed int (Monagan and Pearce, CASC 2007): each
+variable has a 16-bit field, the first variable in the most significant
+one, so numeric order on the packed ints is lexicographic order on the
+exponent vectors.  Exponents lie in [0, 2^15); the top bit of each field
+is a guard.  Multiplying monomials adds their ints, and a field that
+reaches 2^15 sets its guard bit, which the product refuses.  Dividing
+sets every guard bit first, (e | G) - d, and a guard bit that the
+subtraction clears marks an exponent that would go negative.  Terms are
+stored in no particular order and printed in graded-lexicographic order.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache, reduce
+from operator import or_
+
 from .errors import InputError
 from .fields import FiniteField
 from .matrices import RingMatrix
+
+_BITS = 16
+_LIMIT = 1 << _BITS - 1  # exponents lie in [0, _LIMIT)
+_MASK = (1 << _BITS) - 1
+
+
+def _pack(e: tuple[int, ...]) -> int:
+    k = 0
+    for x in e:
+        k = k << _BITS | x
+    return k
+
+
+def _unpack(k: int, n: int) -> tuple[int, ...]:
+    return tuple(k >> _BITS * i & _MASK for i in range(n - 1, -1, -1))
+
+
+@lru_cache(maxsize=None)
+def _guard(n: int) -> int:
+    """The guard bits of n packed exponents."""
+    return _pack((_LIMIT,) * n)
+
+
+def _clean(char: int, terms: dict) -> dict:
+    """terms without zero coefficients, reduced mod char when char > 0."""
+    if char:
+        return {k: r for k, c in terms.items() if (r := c % char)}
+    return {k: c for k, c in terms.items() if c}
 
 
 class MultiPoly:
     __slots__ = ("vars", "char", "terms")
 
     def __init__(self, variables: tuple[str, ...], char: int, terms: dict):
-        self.vars = tuple(variables)
-        self.char = char
-        cleaned = {}
+        """terms maps exponent tuples, one exponent per variable, to
+        coefficients."""
+        variables = tuple(variables)
+        packed = {}
         for e, c in terms.items():
-            if char:
-                c %= char
-            if c:
-                cleaned[tuple(e)] = c
-        self.terms = cleaned
+            e = tuple(e)
+            if len(e) != len(variables):
+                raise InputError(f"exponent {e} does not match the variables {variables}")
+            if any(not 0 <= x < _LIMIT for x in e):
+                raise InputError(f"exponent {e} is outside [0, {_LIMIT})")
+            packed[_pack(e)] = c
+        self.vars = variables
+        self.char = char
+        self.terms = _clean(char, packed)
+
+    @classmethod
+    def _packed(cls, variables, char, packed: dict) -> "MultiPoly":
+        """The polynomial of packed monomials; variables is a tuple."""
+        out = object.__new__(cls)
+        out.vars = variables
+        out.char = char
+        out.terms = _clean(char, packed)
+        return out
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def const(cls, variables, char, c):
-        return cls(variables, char, {(0,) * len(variables): c})
+        return cls._packed(tuple(variables), char, {0: c})
 
     @classmethod
     def gen(cls, variables, char, name):
         variables = tuple(variables)
         if name not in variables:
             raise InputError(f"unknown variable {name!r}")
-        e = [0] * len(variables)
-        e[variables.index(name)] = 1
-        return cls(variables, char, {tuple(e): 1})
+        shift = _BITS * (len(variables) - 1 - variables.index(name))
+        return cls._packed(variables, char, {1 << shift: 1})
 
     # -- ring structure ------------------------------------------------
 
@@ -52,12 +105,13 @@ class MultiPoly:
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return MultiPoly(self.vars, self.char, out)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + c
+        return MultiPoly._packed(self.vars, self.char, out)
 
     def __neg__(self):
-        return MultiPoly(self.vars, self.char, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._packed(self.vars, self.char,
+                                 {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -65,11 +119,15 @@ class MultiPoly:
     def __mul__(self, other):
         self._check(other)
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return MultiPoly(self.vars, self.char, out)
+        get = out.get
+        right = other.terms.items()
+        for k1, c1 in self.terms.items():
+            for k2, c2 in right:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        if reduce(or_, out, 0) & _guard(len(self.vars)):
+            raise InputError(f"an exponent of the product reaches {_LIMIT}")
+        return MultiPoly._packed(self.vars, self.char, out)
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -79,27 +137,31 @@ class MultiPoly:
     # -- queries -------------------------------------------------------
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        n = len(self.vars)
+        return max((sum(_unpack(k, n)) for k in self.terms), default=0)
 
     def monomial_quotient(self, other: "MultiPoly") -> "MultiPoly | None":
         """Exact quotient self / other when other is a single term, else None."""
         self._check(other)
         if len(other.terms) != 1:
             return None
-        (de, dc), = other.terms.items()
+        (d, dc), = other.terms.items()
+        guard = _guard(len(self.vars))
+        if self.char:
+            dinv = pow(dc, self.char - 2, self.char)
         out = {}
-        for e, c in self.terms.items():
-            q = tuple(a - b for a, b in zip(e, de))
-            if any(x < 0 for x in q):
+        for k, c in self.terms.items():
+            q = (k | guard) - d
+            if q & guard != guard:
                 return None
             if self.char:
-                c = c * pow(dc, self.char - 2, self.char) % self.char
+                c = c * dinv
             else:
                 if c % dc:
                     return None
                 c = c // dc
-            out[q] = c
-        return MultiPoly(self.vars, self.char, out)
+            out[q ^ guard] = c
+        return MultiPoly._packed(self.vars, self.char, out)
 
     # -- evaluation ----------------------------------------------------
 
@@ -116,9 +178,11 @@ class MultiPoly:
             if v not in assignment:
                 raise InputError(f"assignment missing variable {v!r}")
         point = [assignment[v] for v in self.vars]
+        n = len(self.vars)
+        terms = [(_unpack(k, n), c) for k, c in self.terms.items()]
         # cache powers per variable up to the needed exponent
-        maxdeg = [0] * len(self.vars)
-        for e in self.terms:
+        maxdeg = [0] * n
+        for e, _ in terms:
             for i, x in enumerate(e):
                 if x > maxdeg[i]:
                     maxdeg[i] = x
@@ -129,7 +193,7 @@ class MultiPoly:
                 row.append(field.mul(row[-1], x))
             powers.append(row)
         acc = field.zero
-        for e, c in self.terms.items():
+        for e, c in terms:
             term = field.from_int(c)
             for i, x in enumerate(e):
                 if x:
@@ -142,10 +206,11 @@ class MultiPoly:
     def __repr__(self):
         if not self.terms:
             return "0"
+        n = len(self.vars)
         parts = []
-        # graded lex, highest first
-        for e, c in sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]),
-                           reverse=True):
+        # graded lex, highest first; packed order is lex order
+        terms = [(_unpack(k, n), k, c) for k, c in self.terms.items()]
+        for e, _, c in sorted(terms, key=lambda t: (sum(t[0]), t[1]), reverse=True):
             mono = "*".join(f"{v}^{x}" if x > 1 else v
                             for v, x in zip(self.vars, e) if x)
             if mono and c == 1:

@@ -7,7 +7,7 @@ independent references (the row-major block assembly and its per-vertex
 slot lookup, the column-loop assembly over any ring, the convolution
 product in GF(p^m) and the x^t reduction rows it folds with, row kernels,
 the unit-pivot elimination kernel, the column-update Hessenberg
-reduction, image tables, the census of a
+reduction, the tuple-keyed polynomial kernel, image tables, the census of a
 RingMatrix block, the full-system census rank, the circulant determinant
 formula, the two-product scalar and two-rank spectrum checks of the
 sampled b3 claims, the full characteristic-polynomial check of the
@@ -113,6 +113,74 @@ def sample_poly(ring: PolyRing, rng, max_terms: int = 5, max_deg: int = 3) -> Mu
         e = tuple(rng.randrange(max_deg + 1) for _ in ring.vars)
         terms[e] = terms.get(e, 0) + rng.randrange(1, span)
     return MultiPoly(ring.vars, ring.char, terms)
+
+
+# ----------------------------------------------------------------------
+# tuple-keyed polynomials: {exponent tuple: coefficient} maps, the
+# representation MultiPoly had before its monomials were packed
+# ----------------------------------------------------------------------
+
+def tuple_poly_clean(terms: dict, char: int) -> dict:
+    if char:
+        terms = {e: c % char for e, c in terms.items()}
+    return {e: c for e, c in terms.items() if c}
+
+
+def tuple_poly_add(x: dict, y: dict, char: int) -> dict:
+    out = dict(x)
+    for e, c in y.items():
+        out[e] = out.get(e, 0) + c
+    return tuple_poly_clean(out, char)
+
+
+def tuple_poly_mul(x: dict, y: dict, char: int) -> dict:
+    out: dict = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return tuple_poly_clean(out, char)
+
+
+def tuple_monomial_quotient(x: dict, d: dict, char: int) -> dict | None:
+    """x / d when d is a single term that divides every term of x, else
+    None."""
+    if len(d) != 1:
+        return None
+    (de, dc), = d.items()
+    out = {}
+    for e, c in x.items():
+        q = tuple(a - b for a, b in zip(e, de))
+        if any(v < 0 for v in q):
+            return None
+        if char:
+            c = c * pow(dc, char - 2, char) % char
+        elif c % dc:
+            return None
+        else:
+            c //= dc
+        out[q] = c
+    return tuple_poly_clean(out, char)
+
+
+def tuple_poly_specialize(x: dict, point: list, field: FiniteField) -> int:
+    """The value at point, one field element per variable, by pow."""
+    acc = field.zero
+    for e, c in x.items():
+        term = field.from_int(c)
+        for v, k in zip(point, e):
+            term = field.mul(term, field.pow(v, k))
+        acc = field.add(acc, term)
+    return acc
+
+
+def tuple_poly_repr(variables, x: dict) -> str:
+    """Graded lexicographic order, highest first."""
+    parts = []
+    for e, c in sorted(x.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
+        mono = "*".join(f"{v}^{k}" if k > 1 else v for v, k in zip(variables, e) if k)
+        parts.append(mono if mono and c == 1 else f"{c}*{mono}" if mono else str(c))
+    return " + ".join(parts) or "0"
 
 
 # ----------------------------------------------------------------------

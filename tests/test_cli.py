@@ -11,6 +11,7 @@ from cubeblocks.fields import FiniteField
 from cubeblocks.identity import Verdict
 from cubeblocks.lattice import BrickSpec
 from cubeblocks.matrices import RingMatrix, mat_inverse
+from cubeblocks.polys import MultiPoly
 from reference import brick_to_json, mat_add, random_brick
 
 
@@ -463,6 +464,21 @@ def test_suites_without_b3_options_refuse_them(argv, capsys):
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
     for opt in ("--p", "--trials"):
         assert (opt in argv) == (opt in captured.err), opt
+
+
+def test_non_polynomial_g_vector_quotient_exits_1(monkeypatch, capsys):
+    # a quotient that is not a polynomial falsifies the symbolic checks
+    # and the recomputation; the sampled check divides in a field
+    monkeypatch.setattr(MultiPoly, "monomial_quotient", lambda self, other: None)
+    code = main(["verify", "symmetric", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    rep = json.loads(captured.out)
+    verdicts = {r["name"]: r["verdict"] for r in rep["results"]}
+    assert rep["status"] == "falsified"
+    assert [name for name, v in verdicts.items() if v == "falsified"] == [
+        "symmetric-simple-symbolic", "symmetric-double-symbolic",
+        "distinguished-vector-recomputation"]
 
 
 def test_cap_points_is_a_census_option(capsys):

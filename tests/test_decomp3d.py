@@ -11,6 +11,7 @@ from cubeblocks.fieldmat import scalar_of
 from cubeblocks.fields import FiniteField
 from cubeblocks.lattice import BrickSpec, assemble_block, evolve
 from cubeblocks.matrices import RingMatrix, mat_det, mat_inverse
+from cubeblocks.polys import MultiPoly
 from reference import (
     perturb_cube, resolve_line_ordering, scalar_failure_two_products,
     spectrum_failure_full_charpoly, spectrum_failure_two_ranks, symmetrize_brick,
@@ -445,6 +446,16 @@ def test_distinguished_vector_recomputation():
     assert rep["g2_matches_printed"]
     assert not rep["g3_matches_printed"]
     assert rep["typo_confirmed"]
+
+
+def test_non_polynomial_g_vector_quotient_is_falsified(monkeypatch):
+    monkeypatch.setattr(MultiPoly, "monomial_quotient", lambda self, other: None)
+    for level in ("simple", "double"):
+        rep = D.verify_symmetric_decomposition(level)
+        assert not rep.verdict.ok
+        assert rep.verdict.witness == {"failed": "g-vector quotient", "vector": 1}
+    rep = D.g3_typo_report()
+    assert not rep["typo_confirmed"] and rep["g3_recomputed"] is None
 
 
 def test_symmetric_simple_symbolic():

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from cubeblocks import fields
 from cubeblocks.cli import main
 from cubeblocks.errors import InputError
 from cubeblocks.fields import FiniteField, find_irreducible, is_prime
@@ -204,6 +205,50 @@ def test_kronecker_mul_matches_convolution(p, m):
         assert f.mul(x, y) == convolution_mul(f, x, y), (x, y)
 
 
+# x^8+x^4+x^3+x+1 is the default GF(2^8) modulus, under which x has order
+# 51; under x^8+x^4+x^3+x^2+1, x is primitive
+TABLE_FIELDS = [(2, 2, None), (3, 4, None), (5, 3, None),
+                (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)), (2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1))]
+
+
+@pytest.mark.parametrize("p,m,modulus", TABLE_FIELDS)
+def test_table_arithmetic_is_exhaustively_right(p, m, modulus):
+    f = FiniteField(p, m, modulus)
+    q = f.q
+    assert f._log is not None and len(f._exp) == 2 * (q - 1) and len(f._log) == q
+    for a in range(q):
+        for b in range(q):
+            assert f.mul(a, b) == convolution_mul(f, a, b), (a, b)
+    for a in range(1, q):
+        assert f.mul(a, f.inv(a)) == 1
+    # repeated products by mul, which now agrees with the reference
+    for a in range(q):
+        powers = [1]
+        for _ in range(3 * q + 5):
+            powers.append(f.mul(powers[-1], a))
+        for e in (0, 1, 2, q - 2, q - 1, q, 3 * q + 5):
+            assert f.pow(a, e) == powers[e], (a, e)
+
+
+@pytest.mark.parametrize("p,m", [(2, 16), (3, 16), (7, 16), (7, 1), (2, 1)])
+def test_no_tables_outside_small_extensions(p, m):
+    assert FiniteField(p, m)._log is None
+
+
+def test_tables_are_built_once_per_field(monkeypatch):
+    fields._log_tables.cache_clear()
+    calls = []
+    slow = FiniteField._mul_slow
+    monkeypatch.setattr(FiniteField, "_mul_slow",
+                        lambda self, a, b: calls.append(1) or slow(self, a, b))
+    seen = []
+    for _ in range(5):
+        f = FiniteField(2, 8)
+        seen.append(len(calls))
+    assert seen[0] >= f.q - 2 and seen == seen[:1] * 5
+    assert fields._log_tables.cache_info()[:2] == (4, 1)  # hits, misses
+
+
 @pytest.mark.parametrize("p,m", [(2, 8), (3, 4), (5, 2)])
 def test_frobenius_is_additive(p, m):
     f = FiniteField(p, m)
@@ -213,8 +258,10 @@ def test_frobenius_is_additive(p, m):
         assert f.pow(f.add(x, y), p) == f.add(f.pow(x, p), f.pow(y, p))
 
 
-def test_multiplicative_order():
-    f = FiniteField(2, 8)
+@pytest.mark.parametrize("p,m", [(2, 8), (2, 16), (7, 16)])
+def test_multiplicative_order(p, m):
+    # GF(2^8) reads its tables, the others square and multiply
+    f = FiniteField(p, m)
     rng = random.Random(5)
     for _ in range(20):
         x = f.sample_nonzero(rng)
